@@ -71,9 +71,38 @@ def _like_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace("%", "\\%").replace("_", "\\_")
 
 
-def _like_prefix(prefix: str) -> str:
-    """A LIKE pattern matching ids starting with *prefix* literally."""
-    return _like_escape(prefix) + "%"
+def _prefix_successor(prefix: str) -> str | None:
+    """The least string greater than every string starting with *prefix*.
+
+    ``None`` when no such string exists (an empty prefix, or one made
+    only of U+10FFFF).  Trailing U+10FFFF code points cannot be bumped,
+    so they drop and the one before them is bumped instead; U+D7FF
+    bumps to U+E000 because the surrogates between them cannot be
+    stored as UTF-8 text.
+    """
+    stem = prefix.rstrip("\U0010ffff")
+    if not stem:
+        return None
+    last = ord(stem[-1])
+    return stem[:-1] + chr(0xE000 if last == 0xD7FF else last + 1)
+
+
+def _id_range(column: str, prefix: str) -> tuple[str, tuple[str, ...]]:
+    """``(predicate, params)`` selecting the *column* values that start
+    with *prefix*: ``column >= prefix AND column < successor(prefix)``.
+
+    Every tenant-scoped statement scopes through this.  SQLite compares
+    TEXT under BINARY collation byte by byte, and UTF-8 bytes order as
+    code points do, so the range holds exactly the ids
+    ``str.startswith(prefix)`` accepts.  Unlike ``LIKE 'prefix%'``
+    (which the default case-insensitive LIKE keeps off the index), a
+    range seeks the ``id`` index: a tenant-scoped read costs
+    O(tenant rows), not O(shard rows).
+    """
+    upper = _prefix_successor(prefix)
+    if upper is None:
+        return f"{column} >= ?", (prefix,)
+    return f"{column} >= ? AND {column} < ?", (prefix, upper)
 
 
 def _like_substring(term: str) -> str:
@@ -785,8 +814,9 @@ class ProvenanceStore:
         scope = ""
         params: list = [pattern, pattern]
         if id_prefix is not None:
-            scope = " AND n.id LIKE ? ESCAPE '\\'"
-            params.append(_like_prefix(id_prefix))
+            predicate, bounds = _id_range("n.id", id_prefix)
+            scope = " AND " + predicate
+            params.extend(bounds)
         params.append(limit)
         with self._read_context() as conn:
             rows = conn.execute(
@@ -970,17 +1000,17 @@ class ProvenanceStore:
         Tenant-scoped ranked search normalizes BM25 against the
         tenant's own corpus — another tenant's bulk ingest on the same
         shard must not shift a user's document-length statistics and
-        reorder their results.  Cost is one indexed prefix scan of the
+        reorder their results.  Cost is one ``id`` index range over the
         tenant's rows.
         """
-        pattern = _like_prefix(id_prefix)
+        predicate, bounds = _id_range("n.id", id_prefix)
         with self._read_context() as conn:
             row = conn.execute(
                 "SELECT COUNT(*), COALESCE(SUM(d.length), 0)"
                 " FROM prov_index_docs AS d"
                 " JOIN prov_nodes AS n ON n.nid = d.nid"
-                " WHERE n.id LIKE ? ESCAPE '\\'",
-                (pattern,),
+                " WHERE " + predicate,
+                bounds,
             ).fetchone()
         return row[0], row[1]
 
@@ -1038,19 +1068,19 @@ class ProvenanceStore:
         """
         self._count_read("term_postings")
         out: dict[str, list[tuple[str, int]]] = {}
+        scope = ""
+        bounds: tuple[str, ...] = ()
+        if id_prefix is not None:
+            predicate, bounds = _id_range("n.id", id_prefix)
+            scope = " AND " + predicate
         with self._read_context() as conn:
             for term in dict.fromkeys(terms):
-                params: list = [term]
-                scope = ""
-                if id_prefix is not None:
-                    scope = " AND n.id LIKE ? ESCAPE '\\'"
-                    params.append(_like_prefix(id_prefix))
                 rows = conn.execute(
                     "SELECT n.id, p.tf FROM prov_postings AS p"
                     " JOIN prov_terms AS t ON t.tid = p.tid"
                     " JOIN prov_nodes AS n ON n.nid = p.nid"
                     " WHERE t.term = ?" + scope + " ORDER BY n.id",
-                    params,
+                    (term, *bounds),
                 )
                 out[term] = [(row[0], row[1]) for row in rows]
         return out
@@ -1094,8 +1124,11 @@ class ProvenanceStore:
         """``{(page_id, id_prefix): count}`` — per-tenant page popularity.
 
         The raw frecency signal: how many of *that tenant's* nodes
-        reference the page.  Counts ride the ``prov_nodes_page`` index.
-        Pairs are grouped by tenant prefix and counted in chunked
+        reference the page.  Counts drive from the ``prov_nodes_page``
+        index and only filter on the tenant's ``id`` range: the nodes on
+        a page chunk are far fewer than a large tenant's whole range, so
+        the page index must stay the driver (the plan-guard test checks
+        it).  Pairs are grouped by tenant prefix and counted in chunked
         ``GROUP BY page_id`` passes — the paged-search scan blends
         *every* candidate, so per-pair point SELECTs would turn a
         broad query's first page into O(matches) SQL round-trips.
@@ -1108,15 +1141,15 @@ class ProvenanceStore:
             by_prefix.setdefault(prefix, []).append(page_id)
         with self._read_context() as conn:
             for prefix, page_ids in by_prefix.items():
-                pattern = _like_prefix(prefix)
+                predicate, bounds = _id_range("id", prefix)
                 for chunk in _chunked(page_ids):
                     placeholders = ",".join("?" * len(chunk))
                     for page_id, count in conn.execute(
                         f"SELECT page_id, COUNT(*) FROM prov_nodes"
                         f" WHERE page_id IN ({placeholders})"
-                        f" AND id LIKE ? ESCAPE '\\'"
+                        f" AND {predicate}"
                         f" GROUP BY page_id",
-                        (*chunk, pattern),
+                        (*chunk, *bounds),
                     ):
                         out[(page_id, prefix)] = count
         return out
@@ -1194,10 +1227,11 @@ class ProvenanceStore:
                     "SELECT MAX(timestamp_us) FROM prov_nodes"
                 ).fetchone()
             else:
+                predicate, bounds = _id_range("id", id_prefix)
                 row = conn.execute(
                     "SELECT MAX(timestamp_us) FROM prov_nodes"
-                    " WHERE id LIKE ? ESCAPE '\\'",
-                    (_like_prefix(id_prefix),),
+                    " WHERE " + predicate,
+                    bounds,
                 ).fetchone()
         return row[0] or 0
 
@@ -1215,15 +1249,15 @@ class ProvenanceStore:
         tenants, so this is exact.  Intervals are not loaded —
         retention decides by node identity and timestamp.
         """
-        pattern = _like_prefix(id_prefix)
+        predicate, bounds = _id_range("n.id", id_prefix)
         graph = ProvenanceGraph(enforce_dag=enforce_dag)
         with self._read_context() as conn:
             node_attrs: dict[int, dict[str, AttrValue]] = {}
             for nid, name, value in conn.execute(
                 "SELECT a.nid, a.name, a.value FROM prov_node_attrs AS a"
                 " JOIN prov_nodes AS n ON n.nid = a.nid"
-                " WHERE n.id LIKE ? ESCAPE '\\'",
-                (pattern,),
+                " WHERE " + predicate,
+                bounds,
             ):
                 node_attrs.setdefault(nid, {})[name] = value
             id_by_nid: dict[int, str] = {}
@@ -1234,9 +1268,9 @@ class ProvenanceStore:
                 " n.hidden, n.transition, p.url, p.title"
                 " FROM prov_nodes AS n"
                 " LEFT JOIN prov_pages AS p ON p.id = n.page_id"
-                " WHERE n.id LIKE ? ESCAPE '\\'"
-                " ORDER BY n.timestamp_us, n.nid",
-                (pattern,),
+                " WHERE " + predicate
+                + " ORDER BY n.timestamp_us, n.nid",
+                bounds,
             ):
                 if url is not None and label is None:
                     label = title
@@ -1261,16 +1295,16 @@ class ProvenanceStore:
                 "SELECT a.edge_id, a.name, a.value FROM prov_edge_attrs AS a"
                 " JOIN prov_edges AS e ON e.id = a.edge_id"
                 " JOIN prov_nodes AS n ON n.nid = e.src"
-                " WHERE n.id LIKE ? ESCAPE '\\'",
-                (pattern,),
+                " WHERE " + predicate,
+                bounds,
             ):
                 edge_attrs.setdefault(edge_id, {})[name] = value
             for edge_id, kind, src, dst, when in conn.execute(
                 "SELECT e.id, e.kind, e.src, e.dst, e.timestamp_us"
                 " FROM prov_edges AS e"
                 " JOIN prov_nodes AS n ON n.nid = e.src"
-                " WHERE n.id LIKE ? ESCAPE '\\' ORDER BY e.id",
-                (pattern,),
+                " WHERE " + predicate + " ORDER BY e.id",
+                bounds,
             ):
                 src_id = id_by_nid.get(src)
                 dst_id = id_by_nid.get(dst)
@@ -1430,23 +1464,23 @@ class ProvenanceStore:
         subject node; in the multi-tenant layout every edge stays within
         one user's namespace, so this is an exact per-tenant count.
         """
-        pattern = _like_prefix(id_prefix)
+        predicate, bounds = _id_range("n.id", id_prefix)
         with self._read_context() as conn:
             nodes = conn.execute(
-                "SELECT COUNT(*) FROM prov_nodes WHERE id LIKE ? ESCAPE '\\'",
-                (pattern,),
+                "SELECT COUNT(*) FROM prov_nodes AS n WHERE " + predicate,
+                bounds,
             ).fetchone()[0]
             edges = conn.execute(
                 "SELECT COUNT(*) FROM prov_edges AS e"
                 " JOIN prov_nodes AS n ON n.nid = e.src"
-                " WHERE n.id LIKE ? ESCAPE '\\'",
-                (pattern,),
+                " WHERE " + predicate,
+                bounds,
             ).fetchone()[0]
             intervals = conn.execute(
                 "SELECT COUNT(*) FROM prov_intervals AS i"
                 " JOIN prov_nodes AS n ON n.nid = i.nid"
-                " WHERE n.id LIKE ? ESCAPE '\\'",
-                (pattern,),
+                " WHERE " + predicate,
+                bounds,
             ).fetchone()[0]
         return nodes, edges, intervals
 

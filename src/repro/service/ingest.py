@@ -65,6 +65,7 @@ import json
 import os
 import threading
 import time
+from bisect import bisect_right
 from hashlib import sha256 as _sha256
 from collections import deque
 from dataclasses import dataclass
@@ -124,9 +125,10 @@ class IngestJournal:
     Each line is ``{"seq": n, "ev": {...}}`` — plus, with
     ``integrity=True``, a trailing ``"h"`` field carrying the record's
     rolling SHA-256 chain value (see :mod:`repro.service.integrity`):
-    the chain is computed at stage time under the sequence lock (the
-    allocation order *is* the chain order) and rides the existing group
-    commit, rotation seals each finished segment with a signed digest
+    staging records only the sequence, tenant and payload; the
+    group-commit leader chains the drained batch in sequence order
+    (the allocation order *is* the chain order) just before writing
+    it, rotation seals each finished segment with a signed digest
     sidecar, and a signed-root manifest attests the durable head,
     per-tenant attestations, and a tombstone log of deliberate
     deletions.  :meth:`verify_integrity` re-attests and walks the whole
@@ -240,6 +242,15 @@ class IngestJournal:
     @property
     def flushed_seq(self) -> int:
         return self._flushed
+
+    @property
+    def durable_seq(self) -> int:
+        """Highest sequence whose line has reached the file.
+
+        Every line up to it is written (and fsynced with
+        ``fsync=True``); a staged line above it may still be lost.
+        """
+        return self._durable
 
     @property
     def deadletter_path(self) -> str:
@@ -1288,7 +1299,7 @@ class IngestPipeline:
             # barrier on this shard drains the failure, requeues, and
             # surfaces the error; flush() then force-dispatches.
             return
-        batch = self._buffers.pop(shard, None)
+        batch = self._take_durable_locked(shard)
         if not batch:
             return
         self._inflight.setdefault(shard, deque()).append(batch)
@@ -1306,6 +1317,29 @@ class IngestPipeline:
             workers.dispatch(shard, batch, encoded)
         else:
             workers.dispatch(shard, batch)
+
+    def _take_durable_locked(self, shard: int) -> list[tuple[int, ProvEvent]]:
+        """Pop the journal-synced prefix of *shard*'s buffer (lock held).
+
+        A concurrent submitter stages its event into the buffer before
+        its ``journal.sync`` returns; applying that event early would
+        let readers see it, and a crash before the write would leave a
+        store row with no journal record.  Buffers are seq-ordered, so
+        everything up to the journal's durable head is a prefix; the
+        rest stays buffered for the submitter's own dispatch or the
+        next drain.
+        """
+        batch = self._buffers.get(shard)
+        if not batch:
+            return []
+        cut = bisect_right(
+            batch, self.journal.durable_seq, key=lambda entry: entry[0]
+        )
+        if cut == len(batch):
+            del self._buffers[shard]
+            return batch
+        self._buffers[shard] = batch[cut:]
+        return batch[:cut]
 
     def _apply_job(self, shard: int, batch: list[tuple[int, ProvEvent]]) -> None:
         """Thread-worker apply: on success, settle the batch's accounting.
@@ -1463,7 +1497,7 @@ class IngestPipeline:
             applied = 0
             try:
                 for target in shards:
-                    batch = self._buffers.pop(target, None)
+                    batch = self._take_durable_locked(target)
                     if not batch:
                         continue
                     try:
@@ -1471,6 +1505,7 @@ class IngestPipeline:
                     except Exception:
                         # Requeue so the events stay pending in-process;
                         # the journal still holds them for replay.
+                        batch.extend(self._buffers.get(target, ()))
                         self._buffers[target] = batch
                         raise
                     applied += len(batch)
@@ -1579,7 +1614,11 @@ class IngestPipeline:
                 failures = self._pool_workers.drain_failures()
                 self._requeue_locked(failures)
         with self._lock:
-            buffers, self._buffers = self._buffers, {}
+            buffers = {
+                shard: batch
+                for shard in sorted(self._buffers)
+                if (batch := self._take_durable_locked(shard))
+            }
             # The salvage applies parent-side; cached hand-off lines
             # for these events would otherwise linger forever.
             for batch in buffers.values():
@@ -1600,7 +1639,7 @@ class IngestPipeline:
                     # Not a data problem: re-buffer this event, the
                     # rest of this shard, AND every shard not yet
                     # salvaged — all of them left the buffers in the
-                    # swap above, and any one forgotten here would be
+                    # take above, and any one forgotten here would be
                     # invisible to checkpoint accounting (the journal
                     # would compact it away).  Then surface the error.
                     with self._lock:

@@ -89,18 +89,10 @@ class RankingParams:
     recency_weight: float = 0.5
     #: Strength of the per-tenant page-popularity term (0 disables it).
     frecency_weight: float = 0.25
-    #: Retained for compatibility; unused since paged search landed.
-    #: The blend now covers *every* BM25 candidate: a pool truncated
-    #: relative to the requested limit would make the order of deep
-    #: pages depend on the page size the caller happened to choose,
-    #: and a cursor could then skip or repeat hits across pages.
-    pool_factor: int = 4
 
     def __post_init__(self) -> None:
         if self.recency_weight < 0 or self.frecency_weight < 0:
             raise ValueError("blend weights must be non-negative")
-        if self.pool_factor < 1:
-            raise ValueError("pool_factor must be >= 1")
 
 
 #: The service default; construct your own to retune.

@@ -7,6 +7,9 @@ recovered by replay on the next startup, with no events lost.
 
 import json
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.service.events import (
     decode_event,
     encode_event,
 )
+from repro.service import ingest as ingest_module
 from repro.service.ingest import (
     COMPACT_MIN_BYTES,
     IngestJournal,
@@ -401,3 +405,126 @@ class TestCrashReplay:
         alice_store = rig.pool.store_for("alice")
         assert alice_store.counts_for_id_prefix("alice::")[0] == 3
         assert rig.pool.store_for("bob").counts_for_id_prefix("bob::")[0] == 3
+
+
+class TestDurableHandoff:
+    """Only journal-synced events may reach the stores.
+
+    A submitter stages its event into the shard buffer before its
+    ``journal.sync`` returns.  A drain from another thread in that
+    window must leave the event buffered: applying it would let readers
+    see an event a crash could still erase from the journal.
+    """
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "threads"])
+    def test_drain_skips_staged_but_unsynced_events(
+        self, tmp_path, monkeypatch, workers
+    ):
+        pool = StorePool(str(tmp_path / "shards"), shards=1)
+        journal = IngestJournal(str(tmp_path / "j.log"), fsync=True)
+        pipeline = IngestPipeline(
+            pool, journal, batch_size=1000, workers=workers
+        )
+        store = pool.store_for("alice")
+        pipeline.submit(node_event("alice", "a", 1))
+
+        # Hold the next fsync: the group-commit leader for event "b"
+        # has written its line but not yet made it durable.
+        held, release = threading.Event(), threading.Event()
+        armed = [True]
+        real_fsync = os.fsync
+
+        def held_fsync(fd):
+            if armed and armed.pop():
+                held.set()
+                release.wait(10)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", held_fsync)
+        writer = threading.Thread(
+            target=pipeline.submit, args=(node_event("alice", "b", 2),)
+        )
+        drainer = threading.Thread(target=pipeline.drain_for_read, args=(0,))
+        writer.start()
+        try:
+            assert held.wait(10)
+            assert (journal.durable_seq, journal.last_seq) == (1, 2)
+            drainer.start()
+            deadline = time.monotonic() + 10
+            while store.counts_for_id_prefix("alice::")[0] == 0:
+                assert time.monotonic() < deadline, "drain never applied"
+                time.sleep(0.005)
+            # The drain applied "a" and left "b" buffered.  (Only the
+            # store is read here: the drain itself now waits on the
+            # journal lock that the held fsync keeps.)
+            assert store.counts_for_id_prefix("alice::")[0] == 1
+        finally:
+            release.set()
+            writer.join(10)
+            drainer.join(10)
+        assert journal.durable_seq == 2
+        pipeline.drain_for_read(0)
+        assert store.counts_for_id_prefix("alice::")[0] == 2
+        assert pipeline.pending() == 0
+        pipeline.close()
+        pool.close()
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "threads"])
+    def test_concurrent_drains_never_apply_past_the_durable_head(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """Stress: writers on every shard and a reader draining in a
+        loop; every applied batch must lie within the journal's durable
+        head at apply time, and nothing may be lost or left behind."""
+        pool = StorePool(str(tmp_path / "shards"), shards=2)
+        journal = IngestJournal(str(tmp_path / "j.log"), fsync=True)
+        pipeline = IngestPipeline(pool, journal, batch_size=8, workers=workers)
+        real_fsync, real_apply = os.fsync, ingest_module.apply_event_batch
+        ahead: list[tuple[int, int]] = []
+
+        def slow_fsync(fd):
+            time.sleep(0.0005)  # widen the staged-but-unsynced window
+            real_fsync(fd)
+
+        def checked_apply(store, batch, **kwargs):
+            durable = journal.durable_seq
+            ahead.extend((seq, durable) for seq, _ in batch if seq > durable)
+            return real_apply(store, batch, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        monkeypatch.setattr(ingest_module, "apply_event_batch", checked_apply)
+        users = ["alice", "bob", "carol", "dave"]
+        stop = threading.Event()
+
+        def write(user):
+            for i in range(60):
+                pipeline.submit(node_event(user, f"n{i}", i + 1))
+
+        def drain():
+            while not stop.is_set():
+                for user in users:
+                    pipeline.drain_for_read(pool.shard_of(user))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=write, args=(u,)) for u in users]
+            reader = threading.Thread(target=drain)
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(60)
+            stop.set()
+            reader.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not reader.is_alive()
+        assert not any(thread.is_alive() for thread in writers)
+        pipeline.flush()
+        assert ahead == []
+        assert pipeline.pending() == 0
+        for user in users:
+            assert pool.store_for(user).counts_for_id_prefix(user + "::")[0] == 60
+        pipeline.close()
+        pool.close()

@@ -179,6 +179,25 @@ class TestIsolation:
         assert service.stats("bob").nodes == 1
         assert service.stats("bob").edges == 0
 
+    def test_tenants_differing_only_in_case_stay_apart(self, service):
+        """Tenant scoping is case-sensitive: ``alice`` and ``Alice``
+        share the shard but never each other's rows — not in counts,
+        searches, ranked pages, or retention surgery."""
+        seed_user(service, "alice", "garden")
+        seed_user(service, "Alice", "garden")
+        service.record_node("Alice", visit("d", 4, "garden extra"))
+        assert service.stats("alice").nodes == 3
+        assert service.stats("Alice").nodes == 4
+        assert service.search("alice", "garden") == ["c", "b", "a"]
+        page = service.ranked_search("garden", user_id="alice")
+        assert {hit.user_id for hit in page.hits} == {"alice"}
+        assert len(page.hits) == 3
+        report = service.expire_before("alice", 10)
+        assert report.nodes_removed == 3
+        assert service.stats("alice").nodes == 0
+        assert service.stats("Alice").nodes == 4
+        assert service.stats("Alice").edges == 2
+
     def test_same_urls_shared_but_results_scoped(self, service):
         url = "http://common.example.com/"
         service.record_node("alice", visit("a", 1, "shared page", url))
