@@ -19,12 +19,6 @@ acceptance artifact ``BENCH_service.json`` at the repo root:
   configuration (``fsync=False``) is reported alongside for
   transparency; it is GIL-bound and gains far less from threading.
 
-* **Ingest throughput, process vs. thread workers** — the CPU-bound
-  configuration (``fsync=False``, page-cache durability) where the
-  thread pool is GIL-capped, measured thread-pool vs. shard worker
-  *processes* in paired rounds; full-durability (``fsync=True``) rates
-  are recorded alongside for transparency.
-
 * **Query latency, cached vs. uncached** — per-user ancestor walks and
   text searches (first touch = SQL, repeat = LRU cache), plus the
   cross-shard scatter-gather paths (``global_search``,
@@ -43,17 +37,16 @@ acceptance artifact ``BENCH_service.json`` at the repo root:
   query via ``metrics_snapshot()``.
 
 * **Paged search** — the recognition-workload numbers: five pages of
-  20 through a 10k-document tenant, proving via the store's read-op
-  counters that pages after the first are per-shard *continuations*
+  20 through a 10k-document tenant, proving via the registry's
+  ``store.read_ops`` counters that pages after the first are per-shard
+  *continuations*
   (zero scoring reads, one snippet fetch per page — never a full
   re-rank), that pages are disjoint, and that every hit carries a
   highlighted snippet; first-page vs. continuation latency recorded.
 
 Acceptance (checked when not in smoke mode): parallel ingest at
-``shards=8`` sustains >= 2x the serial baseline; on hosts with
->= 4 CPUs, where CPU parallelism is physically measurable, process
-workers sustain >= 2x the thread pool in the CPU-bound configuration;
-incremental index maintenance costs <= 25% of ingest throughput; and
+``shards=8`` sustains >= 2x the serial baseline; incremental index
+maintenance costs <= 25% of ingest throughput; and
 continuation pages issue exactly zero scoring reads (this one is
 asserted in smoke mode too — it is a counter, not a wall-clock
 measurement).  All are recorded in the artifact either way, so the
@@ -114,10 +107,6 @@ ACCEPT_SHARDS = SHARD_SWEEP[-1]
 INDEX_SHARDS = 4
 #: Acceptance ceiling for the index-maintenance ingest overhead.
 INDEX_OVERHEAD_CEILING = 0.25
-#: CPU floor below which the process-vs-thread CPU-scaling target is
-#: recorded but not asserted: parallel speedup on a 1-2 core host is
-#: scheduler noise, not a measurement.
-ACCEPT_MIN_CPUS = 4
 BENCH_JSON = os.environ.get("REPRO_BENCH_JSON") or os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "BENCH_service.json",
@@ -333,93 +322,6 @@ def test_ingest_parallel_vs_serial(benchmark, user_streams, tmp_path_factory):
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
 
 
-def test_ingest_process_vs_thread(user_streams, tmp_path_factory):
-    """The CPU-parallelism number: shard worker processes vs. the
-    GIL-bound thread pool, in paired rounds.
-
-    The headline configuration is ``fsync=False`` (page-cache
-    durability): there the thread pool has no I/O to overlap and gains
-    almost nothing (~1.1x over serial was the ROADMAP's cap), so any
-    real speedup must come from CPU parallelism — exactly what the
-    process workers add.  ``fsync=True`` is recorded alongside: with
-    group-commit amortizing the fsyncs, both substrates are I/O-shaped
-    there and should be comparable.
-    """
-    rows = []
-    results = []
-    accept_speedup = 0.0
-    for fsync in (False, True):
-        workers = _parallel_workers(ACCEPT_SHARDS)
-        thread_best, process_best, ratios = 0.0, 0.0, []
-        events = 0
-        for round_no in range(ROUNDS):
-            root = tmp_path_factory.mktemp(f"svc_pvt_t{fsync}{round_no}")
-            events, elapsed = _ingest_run(
-                root, user_streams, shards=ACCEPT_SHARDS,
-                workers=f"thread:{workers}", clients=SUBMITTERS, fsync=fsync,
-            )
-            thread_rate = events / elapsed
-            root = tmp_path_factory.mktemp(f"svc_pvt_p{fsync}{round_no}")
-            events, elapsed = _ingest_run(
-                root, user_streams, shards=ACCEPT_SHARDS,
-                workers=f"process:{workers}", clients=SUBMITTERS, fsync=fsync,
-            )
-            process_rate = events / elapsed
-            thread_best = max(thread_best, thread_rate)
-            process_best = max(process_best, process_rate)
-            ratios.append(process_rate / thread_rate)
-        speedup = statistics.median(ratios)
-        if not fsync:
-            accept_speedup = speedup
-        label = f"{ACCEPT_SHARDS}" + ("" if fsync else " (no fsync)")
-        rows.append([
-            label, str(workers), str(SUBMITTERS), str(events),
-            f"{thread_best:,.0f}", f"{process_best:,.0f}",
-            f"{speedup:.2f}x",
-        ])
-        results.append({
-            "shards": ACCEPT_SHARDS, "fsync": fsync, "workers": workers,
-            "clients": SUBMITTERS, "events": events,
-            "thread_events_per_sec": round(thread_best, 1),
-            "process_events_per_sec": round(process_best, 1),
-            "speedup_median_of_pairs": round(speedup, 3),
-            "speedup_per_pair": [round(r, 3) for r in ratios],
-        })
-    emit_table(
-        "service_ingest_process_vs_thread",
-        f"Service ingest - process vs. thread workers at"
-        f" {ACCEPT_SHARDS} shards ({USERS} users, batch={BATCH_SIZE},"
-        f" median of {ROUNDS} paired rounds, {os.cpu_count()} cpus)",
-        ["shards", "workers", "clients", "events", "thread ev/s",
-         "process ev/s", "speedup"],
-        rows,
-    )
-    cpus = os.cpu_count() or 1
-    asserted = (not FAST) and cpus >= ACCEPT_MIN_CPUS
-    _update_bench_json(
-        "process_vs_thread",
-        {
-            "results": results,
-            "acceptance": {
-                "criterion": f"process >= 2x thread at"
-                             f" shards={ACCEPT_SHARDS} (fsync=False,"
-                             f" CPU-bound) on hosts with"
-                             f" >= {ACCEPT_MIN_CPUS} cpus",
-                "shards": ACCEPT_SHARDS,
-                "cpus": cpus,
-                "speedup": round(accept_speedup, 3),
-                "passed": bool(accept_speedup >= 2.0),
-                "asserted": asserted,
-            },
-        },
-    )
-    if asserted:
-        assert accept_speedup >= 2.0, (
-            f"process-worker ingest at shards={ACCEPT_SHARDS} reached"
-            f" only {accept_speedup:.2f}x the thread pool"
-        )
-
-
 def _probe_terms(streams, count=2):
     """The most common label tokens across every stream — terms the
     ranked and scan paths are both guaranteed to hit."""
@@ -448,14 +350,14 @@ def test_ranked_search_overhead_and_latency(user_streams, tmp_path_factory):
         root = tmp_path_factory.mktemp(f"svc_idx_off{round_no}")
         events, elapsed = _ingest_run(
             root, user_streams, shards=INDEX_SHARDS,
-            workers=f"thread:{workers}", clients=SUBMITTERS, fsync=True,
+            workers=workers, clients=SUBMITTERS, fsync=True,
             index=False,
         )
         plain_rate = events / elapsed
         root = tmp_path_factory.mktemp(f"svc_idx_on{round_no}")
         events, elapsed = _ingest_run(
             root, user_streams, shards=INDEX_SHARDS,
-            workers=f"thread:{workers}", clients=SUBMITTERS, fsync=True,
+            workers=workers, clients=SUBMITTERS, fsync=True,
             index=True,
         )
         indexed_rate = events / elapsed
@@ -888,12 +790,22 @@ SCORING_OPS = (
 )
 
 
+def _read_ops(service) -> dict:
+    """Service-wide store read-op counts by op, from the registry."""
+    prefix = "store.read_ops{op="
+    return {
+        key[len(prefix):-1]: value
+        for key, value in service.metrics_snapshot()["counters"].items()
+        if key.startswith(prefix)
+    }
+
+
 def test_paged_search_continuation(tmp_path_factory):
     """The pagination acceptance: page {PAGES} x {LIMIT} through a
     {DOCS}-doc tenant.  Pages 2..{PAGES} must be served as per-shard
-    continuations — zero scoring reads (asserted via the store's
-    read-op counters), one snippet fetch per page — with disjoint
-    pages and a highlighted snippet on every hit."""
+    continuations — zero scoring reads (asserted via the registry's
+    ``store.read_ops{op=...}`` counters), one snippet fetch per page —
+    with disjoint pages and a highlighted snippet on every hit."""
     from repro.core.model import ProvNode
     from repro.core.taxonomy import NodeKind
     from repro.service.events import NodeEvent
@@ -916,15 +828,13 @@ def test_paged_search_continuation(tmp_path_factory):
         )))
     service.flush()
     ingest_s = time.perf_counter() - started
-    shard = service.pool.shard_of("collector")
 
     started = time.perf_counter()
     page = service.ranked_search("wine", user_id="collector",
                                  limit=PAGED_LIMIT)
     first_page_ms = (time.perf_counter() - started) * 1000
 
-    with service.pool.checkout(shard) as store:
-        before = dict(store.read_ops)
+    before = _read_ops(service)
     pages = [page]
     started = time.perf_counter()
     while len(pages) < PAGED_PAGES:
@@ -935,8 +845,7 @@ def test_paged_search_continuation(tmp_path_factory):
         )
         pages.append(page)
     continuation_ms = (time.perf_counter() - started) * 1000
-    with service.pool.checkout(shard) as store:
-        after = dict(store.read_ops)
+    after = _read_ops(service)
 
     scoring_reads = sum(
         after.get(op, 0) - before.get(op, 0) for op in SCORING_OPS
@@ -1153,7 +1062,7 @@ def test_http_serving_layer(user_streams, tmp_path_factory):
     workers = _parallel_workers(INDEX_SHARDS)
     service = ProvenanceService(
         str(root), shards=INDEX_SHARDS, batch_size=BATCH_SIZE,
-        workers=f"thread:{workers}",
+        workers=workers,
     )
     server = ProvenanceServer(service).start()
 

@@ -12,10 +12,10 @@ Usage::
     python benchmarks/check_artifact.py BENCH_http.json --section http
 
 Exits 0 when the file exists, parses, and carries every required
-section (``thread_vs_serial``, ``process_vs_thread``,
-``ranked_search``, ``paged_search``, ``metrics``, ``integrity``, and
-``http``) with non-empty result rows and an acceptance block each —
-the ingest sections report a ``speedup``, the ranked-search section an
+section (``thread_vs_serial``, ``ranked_search``, ``paged_search``,
+``metrics``, ``integrity``, and ``http``) with non-empty result rows
+and an acceptance block each — the ingest section reports a
+``speedup``, the ranked-search section an
 ``overhead_pct`` plus its ``query`` latency block, the paged-search
 section its ``scoring_reads_pages_2_5`` continuation counter, the
 metrics section its instrumentation ``overhead_pct`` plus a
@@ -37,7 +37,6 @@ import sys
 
 REQUIRED_SECTIONS = (
     "thread_vs_serial",
-    "process_vs_thread",
     "ranked_search",
     "paged_search",
     "metrics",
@@ -48,7 +47,6 @@ REQUIRED_RESULT_KEYS = {"shards", "fsync", "workers", "events"}
 #: What each section's acceptance block must quantify.
 ACCEPTANCE_METRIC = {
     "thread_vs_serial": "speedup",
-    "process_vs_thread": "speedup",
     "ranked_search": "overhead_pct",
     "paged_search": "scoring_reads_pages_2_5",
     "metrics": "overhead_pct",

@@ -57,7 +57,7 @@ def seed_events(user_id, count):
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="prov-http-") as root:
-        service = ProvenanceService(root, shards=4, workers="thread:2")
+        service = ProvenanceService(root, shards=4, workers=2)
 
         with ProvenanceServer(service) as server:
             print(f"Serving at {server.base_url}")

@@ -146,10 +146,9 @@ class ProvenanceStore:
         #: The process that opened this store owns its connections.  A
         #: SQLite handle carried across ``fork`` shares file locks and
         #: statement state with the parent — using it from the child is
-        #: undefined behavior, so it must fail loudly instead.  Shard
-        #: worker *processes* (spawned, not forked) each open their own
-        #: store on the shard path; this guard is what keeps a
-        #: misrouted handle from silently corrupting a shard.
+        #: undefined behavior, so it must fail loudly instead.  Any
+        #: application that forks with a store open would otherwise
+        #: silently corrupt the shard.
         self._pid = os.getpid()
         #: Thread ident currently holding the store via :meth:`exclusive`.
         self._owner: int | None = None
@@ -163,20 +162,14 @@ class ProvenanceStore:
         self._node_ts: dict[str, int] = {}
         self._pages: dict[str, tuple[int, str]] = {}  # url -> (page_id, title)
         self._tids: dict[str, int] = {}  # interned term -> tid
-        #: Per-call counters for the ranked-search read helpers, keyed
-        #: by method name.  The paged-search bench (and its acceptance
-        #: check) reads these to prove that serving page N+1 issues a
-        #: per-shard *continuation* — snippet fetches only — rather
-        #: than re-running the scoring SELECTs of a full re-rank.
-        #: Observability only: never read on a hot path, never reset by
-        #: the store itself.
-        self.read_ops: Counter = Counter()
-        #: Optional service-layer metrics sink (duck-typed: anything
-        #: with ``.counter(name, label_name=...)`` — the core layer
-        #: must not import the service package).  When present, read
-        #: ops also land in the shared registry as
-        #: ``store.read_ops{op=...}``; the local Counter above remains
-        #: the stable per-store view tests and benches assert on.
+        #: Per-call counts of the ranked-search read helpers, booked
+        #: into the optional service-layer metrics sink (duck-typed:
+        #: anything with ``.counter(name, label_name=...)`` — the core
+        #: layer must not import the service package) as
+        #: ``store.read_ops{op=...}``.  The paged-search tests and bench
+        #: read them to prove that serving page N+1 issues a per-shard
+        #: *continuation* — snippet fetches only — rather than
+        #: re-running the scoring SELECTs of a full re-rank.
         self._read_ops_metric = (
             metrics.counter("store.read_ops", label_name="op")  # type: ignore[attr-defined]
             if metrics is not None
@@ -380,8 +373,7 @@ class ProvenanceStore:
 
         Needed whenever rows may have vanished underneath this
         instance: after a rollback (which erases rows the caches point
-        at), and — the cross-process case — in a worker process whose
-        shard the parent just ran retention surgery on.  A stale
+        at) and after retention surgery deletes rows.  A stale
         ``id -> nid`` or ``url -> page_id`` entry would let the next
         batch write edges or nodes against deleted rowids.
         """
@@ -924,7 +916,7 @@ class ProvenanceStore:
         if missing:
             # Interned in first-occurrence order: tid allocation is a
             # function of the per-shard event stream, which is what
-            # keeps serial, thread, and process flushes byte-identical.
+            # keeps serial and threaded flushes byte-identical.
             self.conn.executemany(
                 "INSERT OR IGNORE INTO prov_terms (term) VALUES (?)",
                 [(term,) for term in missing],
@@ -1017,13 +1009,15 @@ class ProvenanceStore:
     def mark_index_stale(self) -> None:
         """Record that node text changed without index maintenance.
 
-        Written on every disabled-indexing batch, never memoized:
-        another *process* (the parent's lazy rebuild) can set the state
-        back to ready at any time, and an instance-local "already
-        marked" flag would skip the re-mark and leave everything
-        ingested after the rebuild permanently invisible to ranked
-        search.  One meta upsert per batch is noise next to the batch
-        itself.
+        Written on every disabled-indexing batch, never memoized: the
+        lazy rebuild (:func:`repro.service.indexer.ensure_index`, run
+        from a query thread) — or any other connection to the shard
+        file — can set the state back to ready at any time.  An
+        instance-local "already marked" flag would have to be reset by
+        every such writer; one that missed it would skip the re-mark
+        and leave everything ingested after the rebuild permanently
+        invisible to ranked search.  One meta upsert per batch is
+        noise next to the batch itself.
         """
         self.conn.execute(
             "INSERT OR REPLACE INTO prov_meta (key, value)"
@@ -1041,9 +1035,11 @@ class ProvenanceStore:
         """Wipe the index postings and documents (rebuild preamble).
 
         ``prov_terms`` survives deliberately: tids must be append-only
-        stable, because worker *processes* cache term -> tid mappings
-        and a rebuild that reallocated tids would make them silently
-        write postings under the wrong terms.  Orphaned vocabulary
+        stable, because store instances cache term -> tid mappings
+        (this one's survive the wipe, and so do those of any other
+        instance open on the shard file) and a rebuild that
+        reallocated tids would make them silently write postings under
+        the wrong terms.  Orphaned vocabulary
         rows (terms whose postings all vanished) are harmless — df is
         derived from posting lists, never from the terms table.
         """
@@ -1052,7 +1048,6 @@ class ProvenanceStore:
         self._write_index_counters(0, 0)
 
     def _count_read(self, op: str) -> None:
-        self.read_ops[op] += 1
         if self._read_ops_metric is not None:
             self._read_ops_metric.inc(1, label=op)
 
@@ -1189,8 +1184,8 @@ class ProvenanceStore:
         Ghost terms accumulate when every document containing a term is
         re-indexed (or retention-deleted) away; they cost vocabulary
         scans, never correctness (df derives from posting lists).  Two
-        invariants make this sweep safe against the tid caches worker
-        processes keep:
+        invariants make this sweep safe against the tid caches other
+        store instances on the same shard file keep:
 
         * **Live tids never shift** — SQLite deletes do not renumber
           surviving rows, so every term that still has postings keeps
@@ -1201,10 +1196,8 @@ class ProvenanceStore:
           cached mapping silently file postings under the wrong term).
 
         This instance's own term cache is cleared (it may hold dropped
-        terms); callers running retention surgery already tell worker
-        processes to drop theirs (:meth:`drop_row_caches`).  Runs on
-        the writer connection inside the caller's transaction; returns
-        the number of vocabulary rows dropped.
+        terms).  Runs on the writer connection inside the caller's
+        transaction; returns the number of vocabulary rows dropped.
         """
         cursor = self.conn.execute(
             "DELETE FROM prov_terms"
@@ -1410,10 +1403,8 @@ class ProvenanceStore:
             )
         # The row caches may reference rows this surgery erased; drop
         # them wholesale (they repopulate lazily), as rollback() does.
-        # NB: this covers THIS instance only — a worker process holding
-        # its own store on the same shard file needs
-        # :meth:`drop_row_caches` delivered in-band (the ingest
-        # pipeline's ``drop_shard_caches``).
+        # This covers THIS instance only; the service applies every
+        # batch through the pool's one instance per shard.
         self.drop_row_caches()
         return (nodes, len(edge_ids), intervals)
 

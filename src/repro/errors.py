@@ -232,33 +232,6 @@ class ShardPoisonedError(StoreError):
         self.shard = shard
 
 
-class WorkerCrashedError(ReproError):
-    """A shard worker process died before acknowledging its batches.
-
-    Raised by the process-based ingest path when a worker is killed (or
-    crashes) mid-flush.  The batches it held are requeued by the
-    pipeline and the journal still covers them, so a retrying flush —
-    or a full crash replay — lands every event exactly once; this error
-    is infrastructure, never a data problem, and is therefore not
-    quarantined by :meth:`repro.service.ingest.IngestPipeline.replay`.
-    """
-
-    code = "worker_crashed"
-
-
-class RemoteApplyError(ReproError):
-    """A shard worker process rejected a batch with a data error.
-
-    The worker's original exception (e.g. :class:`UnknownNodeError`)
-    cannot cross the process boundary reliably, so the parent raises
-    this carrier instead.  It derives from :class:`ReproError` exactly
-    when the child's error did, which is what routes replay into the
-    per-event quarantine path instead of failing startup.
-    """
-
-    code = "remote_apply_failed"
-
-
 class IntegrityError(ProvenanceError):
     """The provenance record itself failed an integrity check.
 
@@ -452,7 +425,6 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     # The service cannot serve right now; a retry may succeed.
     "connection_limit": 503,
     "overloaded": 503,
-    "worker_crashed": 503,
     "shard_poisoned": 503,
     "store_closed": 503,
     "query_timeout": 504,

@@ -2,11 +2,12 @@
 
 The serving layer above capture/store/query: a sharded store pool
 (:mod:`~repro.service.pool`), a group-commit journaled ingest pipeline
-with per-shard flush workers — threads or worker processes, selected
-by ``workers="thread"|"process"`` — and crash replay
-(:mod:`~repro.service.ingest`), the concurrency substrates under both
-hot paths (:mod:`~repro.service.parallel`), the shared event-to-rows
-apply transformation that keeps every mode state-equivalent
+with per-shard flush threads (``workers=N``, or the serial drain with
+``workers=0``) and crash replay (:mod:`~repro.service.ingest`), the
+concurrency primitives under both hot paths
+(:mod:`~repro.service.parallel`), the shared event-to-rows apply
+transformation that keeps the serial and threaded drains
+state-equivalent
 (:mod:`~repro.service.apply`), an invalidating per-user and
 service-scoped query cache with epoch-batched cross-shard admission
 (:mod:`~repro.service.cache`), a relevance-search subsystem — per-shard
@@ -78,7 +79,6 @@ from repro.service.metrics import (
 from repro.service.parallel import (
     ShardFailure,
     ShardWorkerPool,
-    ShardWorkerProcessPool,
     ranked_merge,
     scatter_gather,
 )
@@ -165,7 +165,6 @@ __all__ = [
     "ShardFailure",
     "ShardHealth",
     "ShardWorkerPool",
-    "ShardWorkerProcessPool",
     "SnippetParams",
     "Span",
     "SqlIndexView",

@@ -3,20 +3,14 @@
 This is the single definition of "apply a batch": the tenant-qualifying
 transformation from :class:`~repro.service.events.ProvEvent` records to
 ``prov_nodes`` / ``prov_edges`` / ``prov_intervals`` rows, committed as
-one transaction.  Both concurrency substrates run it —
-
-* the **thread** flush workers (and the serial drain) call it on a
-  store checked out of the parent's pool;
-* the **process** shard workers call it inside the worker process, on
-  the store that process owns exclusively.
-
-Keeping it substrate-neutral is what makes the two worker modes
-byte-for-byte state-equivalent: the only thing that differs between
-them is *where* this function runs.
+one transaction.  The flush threads, the serial drain and the
+per-event salvage all call it on a store checked out of the pool, so
+the drains are byte-for-byte state-equivalent: the only thing that
+differs between them is *which thread* runs this function.
 
 The batch's relevance-index delta is emitted here too (``index=True``,
 the default): node events are tokenized and their postings land in the
-same transaction as the rows, so every substrate maintains the ranked-
+same transaction as the rows, so every drain maintains the ranked-
 search index identically and crash replay re-derives the same bytes.
 With ``index=False`` the shard is marked index-stale instead, and the
 first ranked query rebuilds it from the rows.
@@ -56,9 +50,7 @@ def apply_event_batch(
     holds every event either way.
 
     *metrics* (a registry or the null default) books per-batch timing
-    and counts in whichever process runs the apply — thread workers
-    pass the service registry, process workers their own child
-    registry whose deltas ride the ack queue home.
+    and counts; the pipeline passes the service registry.
     """
     started = time.perf_counter()
     nodes: list[ProvNode] = []

@@ -9,9 +9,9 @@ rows they index.  This module owns how those tables are fed:
   turns a batch of journaled events into the ``(node_id, tokens)``
   delta that :meth:`~repro.core.store.ProvenanceStore.index_documents`
   applies in the *same transaction* as the batch's rows.  Because the
-  apply transformation is shared by the serial drain, the thread
-  workers, and the process workers (``service/apply.py``), all three
-  modes keep the index byte-identical per shard, and journal crash
+  apply transformation is shared by the serial drain and the thread
+  workers (``service/apply.py``), both keep the index byte-identical
+  per shard, and journal crash
   replay is exactly-once for postings just like it is for rows.
 * **By rebuild, from the store** — :func:`rebuild_index` re-derives
   every document's token bag from the node rows (label inheritance
@@ -123,21 +123,18 @@ def compact_index(store: ProvenanceStore) -> int:
     retention-deleted away — accumulate slowly and cost only space and
     vocabulary-scan time, never correctness (df is derived from posting
     lists).  The sweep preserves the two tid invariants ranked search
-    and the worker processes rely on:
+    relies on:
 
     * live tids never shift (SQLite deletes do not renumber rows), and
     * dead tids are never reused for new terms (the ``MAX(tid)`` row is
       retained even when empty, pinning the rowid allocator), so a
-      worker's cached ``term -> tid`` mapping can never silently file
-      postings under a recycled tid.
+      ``term -> tid`` mapping cached by another store instance on the
+      same shard file can never silently file postings under a
+      recycled tid.
 
     Takes the store exclusively and commits.  The retention facade runs
     the same sweep in-transaction with its surgery via the
-    ``compact=True`` flag on ``expire_before`` / ``forget_site`` —
-    that path also tells shard worker processes to drop their caches;
-    callers invoking this helper directly against a store a worker
-    process owns must do the same
-    (:meth:`~repro.service.ingest.IngestPipeline.drop_shard_caches`).
+    ``compact=True`` flag on ``expire_before`` / ``forget_site``.
     """
     with store.exclusive():
         dropped = store.compact_terms()

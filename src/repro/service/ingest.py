@@ -15,24 +15,13 @@ Writes take two hops:
    power loss — group commit is what makes that affordable.
 2. **Flush** — buffered events drain into the sharded SQLite stores in
    batched transactions.  With ``workers=N`` the pipeline dispatches
-   each shard's batches to one of two substrates behind the same
-   contract, selected by ``worker_mode``:
-
-   - ``"thread"`` — a :class:`~repro.service.parallel.ShardWorkerPool`
-     of flush threads: every shard maps to one worker, so SQLite's
-     one-writer limit applies per shard file and the shards commit
-     concurrently (I/O overlaps; CPU stays GIL-bound).
-   - ``"process"`` — a
-     :class:`~repro.service.parallel.ShardWorkerProcessPool` of shard
-     worker processes, each owning its shards' SQLite files
-     exclusively, for CPU parallelism past the GIL.  The journal stays
-     the durable hand-off: a batch is dispatched only after its events
-     are journal-synced, events cross the process boundary in their
-     journal codec, workers acknowledge applied sequences over a
-     result queue, and the checkpoint advances only on
-     acknowledgement.  A killed worker's unacknowledged batches are
-     requeued and re-applied (rows are idempotent, so replay is
-     exactly-once even past a commit-then-crash).
+   each shard's batches to a
+   :class:`~repro.service.parallel.ShardWorkerPool` of N flush
+   threads: every shard maps to one worker, so SQLite's one-writer
+   limit applies per shard file and the shards commit concurrently
+   (I/O overlaps; CPU stays GIL-bound).  A batch is dispatched only
+   after its events are journal-synced, and the checkpoint advances
+   only past settled batches.
 
    ``workers=None`` keeps the original serial drain (the benchmark
    baseline).  :meth:`IngestPipeline.flush` is a barrier — it joins the
@@ -72,7 +61,7 @@ from dataclasses import dataclass
 
 from repro.core.model import AttrValue, ProvEdge
 from repro.core.taxonomy import EdgeKind
-from repro.errors import ConfigurationError, ReproError, WorkerCrashedError
+from repro.errors import ConfigurationError, ReproError
 from repro.service.apply import apply_event_batch
 from repro.service.cache import QueryCache
 from repro.service.events import (
@@ -97,7 +86,7 @@ from repro.service.integrity import (
     write_signed,
 )
 from repro.service.metrics import COUNT_BUCKETS, NULL_REGISTRY
-from repro.service.parallel import ShardWorkerPool, ShardWorkerProcessPool
+from repro.service.parallel import ShardWorkerPool
 from repro.service.pool import StorePool
 from repro.service.tracing import NULL_TRACER
 
@@ -1019,12 +1008,10 @@ class IngestPipeline:
     ``workers=N`` enables the parallel write path: shard batches are
     dispatched to N flush workers (shard → worker ``shard % N``, so
     per-shard order is preserved) and :meth:`flush` becomes a barrier.
-    ``worker_mode`` picks the substrate: ``"thread"`` (default, I/O
-    overlap) or ``"process"`` (shard worker processes, CPU parallelism;
-    requires disk-backed shards).  ``workers=None`` (or 0) drains
-    serially in the calling thread — byte-for-byte the same per-shard
-    store state in all three modes, measured against each other by
-    ``benchmarks/bench_service_throughput.py``.
+    ``workers=None`` (or 0) drains serially in the calling thread —
+    byte-for-byte the same per-shard store state as the threads, and
+    the reference the equivalence tests and the ``thread_vs_serial``
+    leg of ``benchmarks/bench_service_throughput.py`` measure against.
     """
 
     def __init__(
@@ -1035,7 +1022,6 @@ class IngestPipeline:
         batch_size: int = 256,
         cache: QueryCache | None = None,
         workers: int | None = None,
-        worker_mode: str = "thread",
         index: bool = True,
         metrics: object = NULL_REGISTRY,
         tracer: object = NULL_TRACER,
@@ -1044,23 +1030,12 @@ class IngestPipeline:
             raise ConfigurationError("batch_size must be >= 1")
         if workers is not None and workers < 0:
             raise ConfigurationError("workers must be >= 0 (or None)")
-        if worker_mode not in ("thread", "process"):
-            raise ConfigurationError(
-                f"worker_mode must be 'thread' or 'process', not"
-                f" {worker_mode!r}"
-            )
-        if worker_mode == "process" and (workers or 0) and pool.root is None:
-            raise ConfigurationError(
-                "process workers need disk-backed shards; an in-memory"
-                " pool is private to this process"
-            )
         self.pool = pool
         self.journal = journal
         self.batch_size = batch_size
         self.cache = cache
         self.stats = IngestStats()
         self.workers = workers or 0
-        self.worker_mode = worker_mode
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._metric_events = self.metrics.counter(
@@ -1084,16 +1059,6 @@ class IngestPipeline:
         #: affected shards are marked stale and rebuild on first ranked
         #: query.
         self.index_enabled = index
-        #: seq -> journal JSON line, kept only in process mode so the
-        #: batch hand-off reuses the submit-time encoding instead of
-        #: re-serializing every event in the parent.  Entries leave at
-        #: first dispatch; re-dispatches (requeues, replay) fall back
-        #: to encoding on demand.
-        self._payloads: dict[int, str] = {}
-        #: Shards whose store file + schema the parent has created, so a
-        #: worker process and a parent-side reader can never race the
-        #: initial CREATE TABLE script on the same file.
-        self._prepared_shards: set[int] = set()
         self._lock = threading.RLock()
         self._buffers: dict[int, list[tuple[int, ProvEvent]]] = {}
         #: Dispatched-but-unsettled batches per shard, in dispatch order
@@ -1124,8 +1089,6 @@ class IngestPipeline:
         payload = encode_event_json(event)  # off the contended lock
         with self._lock:
             seq = self.journal.stage(event, payload)
-            if self.worker_mode == "process" and self.workers:
-                self._payloads[seq] = payload
             dispatch_shard, serial_flush = self._accept_locked(seq, event)
         self._settle_submit(seq, dispatch_shard, serial_flush)
         if sampled:
@@ -1168,8 +1131,6 @@ class IngestPipeline:
             event = EdgeEvent(user_id=user_id, edge=edge)
             payload = f"{head}{edge.id}{tail}"
             seq = self.journal.stage(event, payload)
-            if self.worker_mode == "process" and self.workers:
-                self._payloads[seq] = payload
             dispatch_shard, serial_flush = self._accept_locked(seq, event)
         self._settle_submit(seq, dispatch_shard, serial_flush)
         return edge
@@ -1267,31 +1228,13 @@ class IngestPipeline:
 
     def _ensure_workers_locked(self):
         if self._pool_workers is None:
-            if self.worker_mode == "process":
-                self._pool_workers = ShardWorkerProcessPool(
-                    {
-                        shard: self.pool.shard_path(shard)
-                        for shard in range(self.pool.shards)
-                    },
-                    self._on_applied,
-                    workers=self.workers,
-                    index_enabled=self.index_enabled,
-                    metrics=self.metrics,
-                )
-            else:
-                self._pool_workers = ShardWorkerPool(
-                    self._apply_job, workers=self.workers
-                )
+            self._pool_workers = ShardWorkerPool(
+                self._apply_job, workers=self.workers
+            )
         return self._pool_workers
 
     def _dispatch_locked(self, shard: int) -> None:
         workers = self._ensure_workers_locked()
-        if self.worker_mode == "process" and shard not in self._prepared_shards:
-            # The parent creates the shard file + schema before the
-            # worker process ever opens it; two processes racing the
-            # schema script on one fresh file would both try CREATE.
-            self.pool.ensure_schema(shard)
-            self._prepared_shards.add(shard)
         if workers.poisoned(shard):
             # Batches sent to a poisoned shard would only be diverted
             # into its failure list unapplied; leaving them buffered
@@ -1303,20 +1246,7 @@ class IngestPipeline:
         if not batch:
             return
         self._inflight.setdefault(shard, deque()).append(batch)
-        if self.worker_mode == "process":
-            # Reuse the submit-time journal encoding for the hand-off;
-            # events without a cached line (crash replay, requeued
-            # batches) encode on demand.
-            encoded = [
-                (
-                    seq,
-                    self._payloads.pop(seq, None) or encode_event_json(event),
-                )
-                for seq, event in batch
-            ]
-            workers.dispatch(shard, batch, encoded)
-        else:
-            workers.dispatch(shard, batch)
+        workers.dispatch(shard, batch)
 
     def _take_durable_locked(self, shard: int) -> list[tuple[int, ProvEvent]]:
         """Pop the journal-synced prefix of *shard*'s buffer (lock held).
@@ -1346,18 +1276,10 @@ class IngestPipeline:
 
         On failure the batch stays in ``_inflight`` (its events are
         still pending) until the barrier requeues it into the buffers.
+        Settling after the apply, not at dispatch, is what lets the
+        checkpoint advance past the batch's sequences.
         """
         self._apply(shard, batch)
-        self._on_applied(shard, batch)
-
-    def _on_applied(self, shard: int, batch: list[tuple[int, ProvEvent]]) -> None:
-        """Settle one applied batch's accounting.
-
-        Called by the thread workers right after they apply, and by the
-        process pool's collector thread when a worker process
-        *acknowledges* a batch — acknowledgement, not dispatch, is what
-        lets the checkpoint advance past the batch's sequences.
-        """
         with self._lock:
             self._settle_inflight_locked(shard, batch)
             self._pending -= len(batch)
@@ -1426,8 +1348,8 @@ class IngestPipeline:
             # events would apply ahead of the failed older batches the
             # requeue is about to restore — a per-shard order
             # violation.  (Pipeline -> pool lock order matches
-            # dispatch; the collectors never hold the pool lock while
-            # settling into the pipeline.)
+            # dispatch; the flush threads never hold the pool lock
+            # while settling into the pipeline.)
             failures = workers.drain_failures(shard)
             self._requeue_locked(failures)
             self._advance_checkpoint_locked(min_bytes=0)
@@ -1435,18 +1357,6 @@ class IngestPipeline:
         if failures:
             raise failures[0].error
         return applied
-
-    def drop_shard_caches(self, shard: int) -> None:
-        """Cache-coherence barrier after out-of-band row surgery.
-
-        Serial and thread modes apply through the parent's own store
-        instance, whose caches the surgery already cleared; a shard
-        worker *process* owns a separate instance and gets the drop
-        delivered in-band over its task queue (FIFO: after every batch
-        already dispatched, before anything submitted later).
-        """
-        if self.worker_mode == "process" and self._pool_workers is not None:
-            self._pool_workers.drop_shard_caches(shard)
 
     def drain_for_read(self, shard: int) -> None:
         """Read-your-own-writes barrier for one shard.
@@ -1523,12 +1433,7 @@ class IngestPipeline:
             return applied
 
     def _apply(self, shard: int, batch: list[tuple[int, ProvEvent]]) -> None:
-        """Parent-side apply (serial drain, thread workers, salvage).
-
-        Process workers run the same :func:`apply_event_batch` inside
-        their own process, on the store that process owns — the shared
-        function is what keeps every mode state-equivalent.
-        """
+        """Apply one batch (serial drain, thread workers, salvage)."""
         with self.pool.checkout(shard) as store, store.exclusive():
             apply_event_batch(
                 store, batch, index=self.index_enabled, metrics=self.metrics
@@ -1580,11 +1485,6 @@ class IngestPipeline:
             self._metric_replayed.inc(len(entries))
         try:
             self.flush()
-        except WorkerCrashedError:
-            # Infrastructure, not data: a worker process died mid-
-            # replay.  The events are requeued and retryable; feeding
-            # them to the quarantine would throw good events away.
-            raise
         except ReproError:
             self.quarantine_pending()
         return len(entries)
@@ -1619,11 +1519,6 @@ class IngestPipeline:
                 for shard in sorted(self._buffers)
                 if (batch := self._take_durable_locked(shard))
             }
-            # The salvage applies parent-side; cached hand-off lines
-            # for these events would otherwise linger forever.
-            for batch in buffers.values():
-                for seq, _event in batch:
-                    self._payloads.pop(seq, None)
         shards = sorted(buffers)
         for position, shard in enumerate(shards):
             for index, (seq, event) in enumerate(buffers[shard]):
@@ -1664,5 +1559,4 @@ class IngestPipeline:
     def close(self) -> None:
         if self._pool_workers is not None:
             self._pool_workers.close()
-        self._payloads.clear()
         self.journal.close()

@@ -16,13 +16,9 @@ generality for hot-path cost:
   attribute call per instrumentation site — no ``if`` forests in the
   instrumented code.
 
-Cross-process story: worker processes cannot share Python objects with
-the parent, so a child keeps its *own* registry and periodically ships
-a **delta** — the diff since the last drain (:meth:`MetricsRegistry.
-drain_delta`) — over the existing ack queue.  The parent folds deltas
-in with :meth:`MetricsRegistry.merge_delta`.  Deltas are plain tuples/
-dicts (picklable, small) and merging is commutative, so acks may
-arrive in any order.
+One registry per service: the flush threads, the query threads and the
+facade all book into the same instruments, so a snapshot is the whole
+service with nothing to merge.
 
 Everything here is thread-safe.  Counters and histograms take a lock
 per operation; the lock is uncontended in practice because each
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 __all__ = [
     "Counter",
@@ -117,17 +113,9 @@ class Counter:
         with self._lock:
             return dict(self._by_label)
 
-    # -- snapshot / delta helpers -------------------------------------------------
-
     def _state(self) -> tuple[int, dict[Any, int]]:
         with self._lock:
             return self._total, dict(self._by_label)
-
-    def _merge(self, total: int, by_label: Mapping[Any, int]) -> None:
-        with self._lock:
-            self._total += total
-            for key, amount in by_label.items():
-                self._by_label[key] = self._by_label.get(key, 0) + amount
 
 
 class Gauge:
@@ -257,33 +245,9 @@ class Histogram:
                 "p99": self._quantile_locked(0.99),
             }
 
-    # -- snapshot / delta helpers -------------------------------------------------
-
-    def _state(self) -> tuple[list[int], int, float, float, float]:
-        with self._lock:
-            return list(self._counts), self._count, self._sum, self._min, self._max
-
-    def _merge(
-        self,
-        counts: list[int],
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-    ) -> None:
-        with self._lock:
-            for index, bucket_count in enumerate(counts):
-                self._counts[index] += bucket_count
-            self._count += count
-            self._sum += total
-            if minimum < self._min:
-                self._min = minimum
-            if maximum > self._max:
-                self._max = maximum
-
 
 class MetricsRegistry:
-    """Factory and namespace for instruments; snapshot + delta source.
+    """Factory and namespace for instruments; snapshot source.
 
     Instruments are created on first request and cached by name, so
     instrumentation sites may call ``registry.counter("x")`` freely —
@@ -296,9 +260,6 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        # drain_delta baselines, keyed by instrument name.
-        self._drained_counters: dict[str, tuple[int, dict[Any, int]]] = {}
-        self._drained_histograms: dict[str, tuple[list[int], int, float]] = {}
 
     @property
     def enabled(self) -> bool:
@@ -365,90 +326,6 @@ class MetricsRegistry:
             "gauges": {g.name: g.value for g in gauges},
             "histograms": {h.name: h.summary() for h in histograms},
         }
-
-    # -- cross-process deltas -----------------------------------------------------
-
-    def drain_delta(self) -> dict[str, Any] | None:
-        """Changes since the previous drain, or ``None`` if nothing moved.
-
-        Used by worker processes: after each applied batch the child
-        drains and piggybacks the delta on its ack.  Gauges are
-        deliberately excluded — point-in-time values do not aggregate
-        across processes.
-        """
-        with self._lock:
-            counters = list(self._counters.values())
-            histograms = list(self._histograms.values())
-        counter_deltas: dict[str, Any] = {}
-        for instrument in counters:
-            total, by_label = instrument._state()
-            base_total, base_labels = self._drained_counters.get(
-                instrument.name, (0, {})
-            )
-            label_delta = {
-                key: amount - base_labels.get(key, 0)
-                for key, amount in by_label.items()
-                if amount != base_labels.get(key, 0)
-            }
-            if total != base_total or label_delta:
-                counter_deltas[instrument.name] = (
-                    total - base_total,
-                    instrument.label_name,
-                    label_delta,
-                )
-            self._drained_counters[instrument.name] = (total, by_label)
-        histogram_deltas: dict[str, Any] = {}
-        for instrument in histograms:
-            counts, count, total, minimum, maximum = instrument._state()
-            base = self._drained_histograms.get(instrument.name)
-            if base is None:
-                base_counts, base_count, base_sum = (
-                    [0] * len(counts),
-                    0,
-                    0.0,
-                )
-            else:
-                base_counts, base_count, base_sum = base
-            if count != base_count:
-                histogram_deltas[instrument.name] = (
-                    list(instrument.bounds),
-                    [c - b for c, b in zip(counts, base_counts)],
-                    count - base_count,
-                    total - base_sum,
-                    minimum,
-                    maximum,
-                )
-            self._drained_histograms[instrument.name] = (counts, count, total)
-        if not counter_deltas and not histogram_deltas:
-            return None
-        return {"counters": counter_deltas, "histograms": histogram_deltas}
-
-    def merge_delta(self, delta: Mapping[str, Any] | None) -> None:
-        """Fold a :meth:`drain_delta` payload from another registry in."""
-        if not delta:
-            return
-        for name, (total, label_name, by_label) in delta.get(
-            "counters", {}
-        ).items():
-            self.counter(name, label_name=label_name)._merge(total, by_label)
-        for name, (
-            bounds,
-            counts,
-            count,
-            total,
-            minimum,
-            maximum,
-        ) in delta.get("histograms", {}).items():
-            instrument = self.histogram(name, bounds=bounds)
-            if list(instrument.bounds) != list(bounds):
-                # Shape drift between processes (version skew) — fold
-                # the summary stats in and re-bucket by re-observing
-                # nothing; better a coarse merge than a crash.
-                instrument._merge(
-                    [0] * len(instrument._counts), count, total, minimum, maximum
-                )
-                continue
-            instrument._merge(counts, count, total, minimum, maximum)
 
 
 class _NullCounter:
@@ -536,12 +413,6 @@ class _NullRegistry:
 
     def snapshot(self) -> dict[str, Any]:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def drain_delta(self) -> None:
-        return None
-
-    def merge_delta(self, delta: Mapping[str, Any] | None) -> None:
-        return None
 
 
 #: Module-level no-op registry; safe to share everywhere.

@@ -1,33 +1,24 @@
 """Concurrency primitives for the service's two hot paths.
 
-**Write path** — two interchangeable substrates behind one contract:
+**Write path** — :class:`ShardWorkerPool` runs N flush *threads*;
+every shard maps to exactly one worker (``shard % workers``), so
+batches for one shard apply strictly in dispatch order while different
+shards drain concurrently.  SQLite's one-writer-at-a-time limit
+therefore applies *per shard file*, not globally — the single largest
+ingest speedup available once users are hash-sharded across stores.
+Threads overlap shard I/O (fsync, WAL writes) but the GIL serializes
+the CPU side.  It is the only parallel write substrate: shard worker
+processes measured 1.09x (fsync off) and 1.12x (fsync on) of these
+threads at 2 CPUs, too little to carry a second dispatch protocol (the
+decision is recorded in ``BENCH_service.json``).
 
-:class:`ShardWorkerPool` runs N flush *threads*; every shard maps to
-exactly one worker (``shard % workers``), so batches for one shard
-apply strictly in dispatch order while different shards drain
-concurrently.  SQLite's one-writer-at-a-time limit therefore applies
-*per shard file*, not globally — the single largest ingest speedup
-available once users are hash-sharded across stores.  Threads overlap
-shard I/O (fsync, WAL writes) but the GIL serializes the CPU side.
-
-:class:`ShardWorkerProcessPool` runs N shard worker *processes* with
-the same shard-affine, order-preserving dispatch — each worker process
-owns its shards' SQLite files exclusively and applies batches with its
-own interpreter, so CPU-bound ingest scales past the GIL.  The durable
-hand-off stays the group-commit journal: the parent only dispatches a
-batch after its events are journal-synced, workers acknowledge applied
-sequence numbers over a result queue, and the checkpoint advances only
-on acknowledgement — a killed worker loses nothing (the parent requeues
-its unacknowledged batches and re-applies; rows are idempotent, so even
-a committed-but-unacknowledged batch lands exactly once).
-
-Failure discipline (both substrates): a batch that raises poisons its
-shard — later batches for that shard are diverted, unapplied, into the
-failure list (applying them would reorder writes past the hole).
-:meth:`barrier` callers collect the failures (batches in dispatch
-order, with the original exception) and decide: the ingest pipeline
-requeues them into its buffers and re-raises, keeping every event
-pending in-process while the journal still holds them for crash replay.
+Failure discipline: a batch that raises poisons its shard — later
+batches for that shard are diverted, unapplied, into the failure list
+(applying them would reorder writes past the hole).  :meth:`barrier`
+callers collect the failures (batches in dispatch order, with the
+original exception) and decide: the ingest pipeline requeues them into
+its buffers and re-raises, keeping every event pending in-process while
+the journal still holds them for crash replay.
 
 **Read path** — :func:`scatter_gather` fans one task per shard across a
 thread pool and returns results in task order, the primitive under
@@ -38,32 +29,24 @@ global page and reports how much of each shard's list the page
 consumed, which is what score-bounded pagination needs to advance each
 shard's continuation watermark.
 
-Concurrency contract: the worker pools are driven by one pipeline
-thread at a time (the ingest pipeline serializes dispatch/barrier
-under its own lock); :func:`scatter_gather` tasks run on arbitrary
-pool threads concurrently with flush workers, so they must only touch
-stores through checkout + read connections.  :func:`ranked_merge` is
-pure computation — no locks, safe anywhere.
+Concurrency contract: the worker pool is driven by one pipeline thread
+at a time (the ingest pipeline serializes dispatch/barrier under its
+own lock); :func:`scatter_gather` tasks run on arbitrary pool threads
+concurrently with flush workers, so they must only touch stores
+through checkout + read connections.  :func:`ranked_merge` is pure
+computation — no locks, safe anywhere.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import queue as queue_module
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from queue import SimpleQueue
 from typing import Any, Callable, Sequence
 
-from repro.errors import (
-    ConfigurationError,
-    RemoteApplyError,
-    ReproError,
-    WorkerCrashedError,
-)
-from repro.service.metrics import NULL_REGISTRY
+from repro.errors import ConfigurationError
 
 _STOP = object()
 
@@ -206,10 +189,6 @@ class ShardWorkerPool:
                 failures = [found] if found is not None else []
         return failures
 
-    def has_failures(self) -> bool:
-        with self._lock:
-            return bool(self._failures)
-
     def poisoned(self, shard: int) -> bool:
         """True while *shard* has an undrained failure parked."""
         with self._lock:
@@ -226,521 +205,6 @@ class ShardWorkerPool:
         for thread in self._threads:
             if thread is not None and thread.is_alive():
                 thread.join()
-
-
-def _shard_process_main(
-    index, shard_paths, tasks, results, index_enabled, metrics_enabled=False
-):
-    """Entry point of one shard worker process.
-
-    Owns the stores for every shard in *shard_paths* exclusively: no
-    other process writes those files while this worker lives.  Spawn-
-    safe (module-level, picklable arguments only).  Protocol, all over
-    ``multiprocessing`` queues:
-
-    * ``("apply", job_id, shard, [(seq, line)])`` — each *line* is the
-      event's journal JSON text (the submit-time encoding, reused so
-      the parent never re-serializes); decode and apply the batch,
-      then acknowledge ``("ok", index, job_id, shard, seq, delta)``
-      with the batch's highest applied sequence number and the
-      worker's metric delta since its previous acknowledgement (or
-      ``None`` when metrics are disabled / nothing moved).  Error
-      acknowledgements carry a trailing delta too — a failed apply
-      still books failure counters child-side.  Piggybacking on the
-      ack is what keeps process mode out of the metrics blind spot
-      without a second channel: the parent merges a delta only when
-      the ack settles its job, so a delta can never count twice.
-    * a failed apply poisons the shard worker-side: the error is
-      reported once and every later batch for that shard is acknowledged
-      ``("diverted", ...)`` unapplied, preserving per-shard order past
-      the hole exactly like the thread pool.
-    * ``("unpoison", shard)`` — the parent drained the failure and will
-      redispatch; FIFO queueing guarantees this arrives after every
-      batch that had to divert and before every retried one.
-    * ``("drop_caches", shard)`` — the parent ran row surgery
-      (retention) on the shard file; forget the store's interned-row
-      caches before the next batch writes against deleted rowids.
-    * ``("stop",)`` — commit nothing further, close the stores, exit.
-    """
-    import json as json_module
-
-    from repro.core.store import ProvenanceStore
-    from repro.service.apply import apply_event_batch
-    from repro.service.events import decode_event
-    from repro.service.metrics import MetricsRegistry
-
-    registry = MetricsRegistry() if metrics_enabled else NULL_REGISTRY
-    stores = {}
-    poisoned = set()
-    try:
-        while True:
-            message = tasks.get()
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "unpoison":
-                poisoned.discard(message[1])
-                continue
-            if kind == "drop_caches":
-                store = stores.get(message[1])
-                if store is not None:
-                    store.drop_row_caches()
-                continue
-            _kind, job_id, shard, encoded = message
-            if shard in poisoned:
-                results.put(("diverted", index, job_id, shard, 0, None))
-                continue
-            try:
-                store = stores.get(shard)
-                if store is None:
-                    store = stores[shard] = ProvenanceStore(
-                        shard_paths[shard], metrics=registry
-                    )
-                batch = [
-                    (seq, decode_event(json_module.loads(line)))
-                    for seq, line in encoded
-                ]
-                apply_event_batch(
-                    store, batch, index=index_enabled, metrics=registry
-                )
-            except BaseException as exc:  # noqa: BLE001 — reported to the parent
-                poisoned.add(shard)
-                results.put(
-                    (
-                        "error",
-                        index,
-                        job_id,
-                        shard,
-                        f"{type(exc).__name__}: {exc}",
-                        isinstance(exc, ReproError),
-                        registry.drain_delta(),
-                    )
-                )
-            else:
-                results.put(
-                    (
-                        "ok",
-                        index,
-                        job_id,
-                        shard,
-                        encoded[-1][0],
-                        registry.drain_delta(),
-                    )
-                )
-    finally:
-        for store in stores.values():
-            store.close()
-
-
-class ShardWorkerProcessPool:
-    """N shard worker *processes* behind the :class:`ShardWorkerPool` contract.
-
-    Same shard-affine dispatch (``shard % workers``), same
-    barrier/failure discipline — but batches apply in worker processes
-    that own their shards' SQLite files exclusively, so CPU-bound
-    ingest is not serialized by the parent's GIL.  Events cross the
-    process boundary as their journal JSON lines — the submit-time
-    encoding, handed over by the pipeline so the parent never pays a
-    second serialization; the parent keeps the original batch objects
-    for requeue accounting and calls *on_applied* with them as
-    acknowledgements arrive.
-
-    Crash containment: a collector thread drains the result queue and
-    watches worker liveness.  A worker that dies with unacknowledged
-    batches turns them into :class:`ShardFailure` entries (error =
-    :class:`~repro.errors.WorkerCrashedError`, batches in dispatch
-    order) and its slot respawns — with a **fresh** task queue, so a
-    half-consumed queue can never double-deliver — on the next
-    dispatch.  The journal still holds every affected event, and
-    store rows are idempotent, so retried batches land exactly once
-    even when the worker died after committing but before
-    acknowledging.
-    """
-
-    #: spawn, not fork: the parent runs submitter/flush threads, and a
-    #: forked child inheriting their held locks (or the parent's SQLite
-    #: handles) would be undefined behavior on both counts.
-    _START_METHOD = "spawn"
-
-    def __init__(
-        self,
-        shard_paths: dict[int, str],
-        on_applied: Callable[[int, Any], None],
-        *,
-        workers: int,
-        name: str = "shard-proc",
-        index_enabled: bool = True,
-        metrics: object = NULL_REGISTRY,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        for shard, path in shard_paths.items():
-            if path == ":memory:":
-                raise ConfigurationError(
-                    f"shard {shard} is in-memory; process workers need"
-                    f" disk-backed shard files"
-                )
-        self._shard_paths = dict(shard_paths)
-        self._on_applied = on_applied
-        self._name = name
-        self._index_enabled = index_enabled
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
-        #: Workers only pay for child-side instrumentation when the
-        #: parent can actually use the deltas.
-        self._metrics_enabled = bool(getattr(self._metrics, "enabled", False))
-        self._ctx = multiprocessing.get_context(self._START_METHOD)
-        self._results = self._ctx.Queue()
-        self._task_queues: list[Any] = [None] * workers
-        self._procs: list[Any] = [None] * workers
-        # Reentrant: the collector reaps dead workers (which notifies
-        # the barrier condition, backed by this same lock) while already
-        # holding it.
-        self._lock = threading.RLock()
-        self._done = threading.Condition(self._lock)
-        self._outstanding = 0
-        self._outstanding_by_shard: dict[int, int] = {}
-        self._failures: dict[int, ShardFailure] = {}
-        #: job_id -> (shard, batch) per worker; insertion order is
-        #: dispatch order, which crash handling relies on.
-        self._assigned: list[dict[int, tuple[int, Any]]] = [
-            {} for _ in range(workers)
-        ]
-        self._next_job = 0
-        self._collector: threading.Thread | None = None
-        self._closed = False
-
-    @property
-    def workers(self) -> int:
-        return len(self._procs)
-
-    def worker_of(self, shard: int) -> int:
-        """The worker index owning *shard* (stable, order-preserving)."""
-        return shard % len(self._procs)
-
-    def processes(self) -> list[Any]:
-        """Live worker process handles (tests kill these)."""
-        with self._lock:
-            return [proc for proc in self._procs if proc is not None]
-
-    # -- dispatch ---------------------------------------------------------------
-
-    def dispatch(
-        self, shard: int, batch: Any, encoded: list | None = None
-    ) -> None:
-        """Queue *batch* (``[(seq, event)]``) for *shard*'s worker.
-
-        *encoded* is the batch in journal-JSON lines (``[(seq, line)]``)
-        when the caller still holds the submit-time encoding — the
-        ingest pipeline does, which spares the parent a per-event
-        re-serialization on every hand-off.  Without it the batch is
-        encoded here.
-        """
-        from repro.service.events import encode_event_json
-
-        index = self.worker_of(shard)
-        if encoded is None:
-            encoded = [
-                (seq, encode_event_json(event)) for seq, event in batch
-            ]
-        with self._lock:
-            if self._closed:
-                raise ConfigurationError("worker pool is closed")
-            self._ensure_worker_locked(index)
-            failure = self._failures.get(shard)
-            if failure is not None:
-                # The ensure above may have just reaped a dead worker,
-                # poisoning this shard after the caller's poison check.
-                # Applying this batch would reorder writes past the
-                # hole; park it for the barrier, like the in-worker
-                # diversion path.
-                failure.batches.append(batch)
-                return
-            self._outstanding += 1
-            self._outstanding_by_shard[shard] = (
-                self._outstanding_by_shard.get(shard, 0) + 1
-            )
-            job_id = self._next_job
-            self._next_job += 1
-            self._assigned[index][job_id] = (shard, batch)
-            tasks = self._task_queues[index]
-        tasks.put(("apply", job_id, shard, encoded))
-
-    def _ensure_worker_locked(self, index: int) -> None:
-        proc = self._procs[index]
-        if proc is not None and not proc.is_alive():
-            # A dead incarnation must be reaped *before* respawning:
-            # spawning first would leave its unacknowledged jobs
-            # orphaned in the assignment table (the reaper skips
-            # indices with a live process), pinning the outstanding
-            # count above zero and hanging every later barrier.
-            self._fail_worker_jobs_locked(index, proc)
-            proc = None
-        if proc is None:
-            # Fresh queue per incarnation: a crashed worker's queue may
-            # still hold dispatched-but-unread jobs that crash handling
-            # already failed and the pipeline already requeued; a new
-            # process reading the old queue would apply them twice over.
-            tasks = self._ctx.Queue()
-            self._task_queues[index] = tasks
-            proc = self._ctx.Process(
-                target=_shard_process_main,
-                args=(
-                    index,
-                    {
-                        shard: path
-                        for shard, path in self._shard_paths.items()
-                        if shard % len(self._procs) == index
-                    },
-                    tasks,
-                    self._results,
-                    self._index_enabled,
-                    self._metrics_enabled,
-                ),
-                name=f"{self._name}-{index}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs[index] = proc
-        if self._collector is None or not self._collector.is_alive():
-            self._collector = threading.Thread(
-                target=self._collect_loop,
-                name=f"{self._name}-collector",
-                daemon=True,
-            )
-            self._collector.start()
-
-    # -- acknowledgement collection ---------------------------------------------
-
-    def _collect_loop(self) -> None:
-        while True:
-            try:
-                message = self._results.get(timeout=0.05)
-            except queue_module.Empty:
-                with self._lock:
-                    if self._closed and self._outstanding == 0:
-                        return
-                    self._reap_dead_locked()
-                continue
-            self._handle_ack(message)
-
-    def _handle_ack(self, message: tuple) -> None:
-        kind, index, job_id, shard = message[:4]
-        with self._lock:
-            entry = self._assigned[index].pop(job_id, None)
-        if entry is None:
-            # Superseded: crash handling already failed this job (the
-            # ack raced the reaper).  Its accounting is settled; a
-            # second settle here would corrupt the outstanding counts.
-            # The ack's metric delta is dropped with it on purpose —
-            # the requeued batch re-applies and counts *then*, so
-            # merging here would double-count the same events.
-            return
-        _shard, batch = entry
-        try:
-            if kind == "ok":
-                acked_seq = message[4]
-                if acked_seq != batch[-1][0]:
-                    # The worker acknowledged a different batch than the
-                    # one this job carries — protocol corruption.  Park
-                    # it; the requeue re-applies (idempotently) rather
-                    # than trusting a torn acknowledgement.
-                    self._park_failure_locked(
-                        shard,
-                        batch,
-                        RuntimeError(
-                            f"worker {index} acknowledged seq {acked_seq}"
-                            f" for a batch ending at seq {batch[-1][0]}"
-                        ),
-                    )
-                    return
-                try:
-                    self._on_applied(shard, batch)
-                except BaseException as exc:  # noqa: BLE001 — parked below
-                    # The worker applied the batch but the parent-side
-                    # settle (checkpoint upkeep, accounting) failed.
-                    # Same contract as a thread worker raising: park the
-                    # batch as a failure so the barrier surfaces the
-                    # error and the pipeline requeues — the eventual
-                    # re-apply is harmless, rows are idempotent.  The
-                    # delta is dropped: the re-apply recounts.
-                    self._park_failure_locked(shard, batch, exc)
-                else:
-                    self._metrics.merge_delta(message[5])
-            elif kind == "error":
-                message_text, is_repro = message[4], message[5]
-                error: BaseException = (
-                    RemoteApplyError(message_text)
-                    if is_repro
-                    else RuntimeError(message_text)
-                )
-                # A failed apply's delta holds failure counters (no
-                # applied events — the child rolled back), so merging
-                # it cannot double-count the requeued batch.
-                self._metrics.merge_delta(message[6] if len(message) > 6 else None)
-                self._park_failure_locked(shard, batch, error)
-            else:  # "diverted"
-                self._park_failure_locked(
-                    shard,
-                    batch,
-                    RuntimeError(f"shard {shard} diverted without a failure"),
-                )
-        finally:
-            self._settle_locked(shard, 1)
-
-    def _park_failure_locked(
-        self, shard: int, batch: Any, error: BaseException
-    ) -> None:
-        """Append *batch* to *shard*'s failure, creating it if needed.
-
-        Only the first error is kept (later batches are consequences,
-        not causes) — for diversions the failure always exists already,
-        FIFO guarantees the error acknowledgement preceded them.
-        """
-        with self._lock:
-            failure = self._failures.get(shard)
-            if failure is None:
-                self._failures[shard] = ShardFailure(
-                    shard=shard, error=error, batches=[batch]
-                )
-            else:
-                failure.batches.append(batch)
-
-    def _settle_locked(self, shard: int, count: int) -> None:
-        with self._done:
-            self._outstanding -= count
-            left = self._outstanding_by_shard.get(shard, count) - count
-            if left:
-                self._outstanding_by_shard[shard] = left
-            else:
-                self._outstanding_by_shard.pop(shard, None)
-            self._done.notify_all()
-
-    def _reap_dead_locked(self) -> None:
-        """Turn dead workers' unacknowledged jobs into shard failures."""
-        for index, proc in enumerate(self._procs):
-            if proc is not None and not proc.is_alive():
-                self._fail_worker_jobs_locked(index, proc)
-
-    def _fail_worker_jobs_locked(self, index: int, proc: Any) -> None:
-        """Fail every job assigned to the dead *proc* at *index*.
-
-        Batches join their shard's failure in dispatch order (job ids
-        are allocated monotonically under the lock), the slot clears so
-        the next dispatch respawns with a fresh queue, and the
-        outstanding counts settle so barriers wake.
-        """
-        jobs = sorted(self._assigned[index].items())
-        self._assigned[index].clear()
-        self._procs[index] = None
-        if not jobs:
-            return
-        error = WorkerCrashedError(
-            f"shard worker {index} (exit code {proc.exitcode}) died"
-            f" with {len(jobs)} unacknowledged batches; they have"
-            f" been requeued and the journal still covers them"
-        )
-        for _job_id, (shard, batch) in jobs:
-            failure = self._failures.get(shard)
-            if failure is None:
-                self._failures[shard] = failure = ShardFailure(
-                    shard=shard, error=error, batches=[]
-                )
-            failure.batches.append(batch)
-        with self._done:
-            self._outstanding -= len(jobs)
-            for _job_id, (shard, _batch) in jobs:
-                left = self._outstanding_by_shard.get(shard, 1) - 1
-                if left:
-                    self._outstanding_by_shard[shard] = left
-                else:
-                    self._outstanding_by_shard.pop(shard, None)
-            self._done.notify_all()
-
-    # -- synchronization --------------------------------------------------------
-
-    def barrier(self, shard: int | None = None) -> None:
-        """Block until every dispatched batch (or *shard*'s) is settled.
-
-        Settled means acknowledged applied, parked in a failure, or
-        reaped from a dead worker; inspect :meth:`drain_failures`
-        afterwards.
-        """
-        with self._done:
-            if shard is None:
-                self._done.wait_for(lambda: self._outstanding == 0)
-            else:
-                self._done.wait_for(
-                    lambda: self._outstanding_by_shard.get(shard, 0) == 0
-                )
-
-    def drain_failures(self, shard: int | None = None) -> list[ShardFailure]:
-        """Remove and return failures, unpoisoning the shards both here
-        and (via an in-band control message) in their worker processes."""
-        with self._lock:
-            if shard is None:
-                failures = [self._failures[key] for key in sorted(self._failures)]
-                self._failures.clear()
-            else:
-                found = self._failures.pop(shard, None)
-                failures = [found] if found is not None else []
-            for failure in failures:
-                index = self.worker_of(failure.shard)
-                proc = self._procs[index]
-                if proc is not None and proc.is_alive():
-                    self._task_queues[index].put(("unpoison", failure.shard))
-        return failures
-
-    def has_failures(self) -> bool:
-        with self._lock:
-            return bool(self._failures)
-
-    def poisoned(self, shard: int) -> bool:
-        """True while *shard* has an undrained failure parked."""
-        with self._lock:
-            return shard in self._failures
-
-    def drop_shard_caches(self, shard: int) -> None:
-        """Tell *shard*'s worker (if alive) to forget its row caches.
-
-        The coherence half of parent-side retention surgery: the
-        worker's store instance memoizes id -> rowid and url -> page
-        mappings that now point at deleted rows.  FIFO queueing lands
-        the message after every batch already dispatched; a dead or
-        never-spawned worker needs nothing (a respawn opens a fresh
-        store).
-        """
-        with self._lock:
-            index = self.worker_of(shard)
-            proc = self._procs[index]
-            if proc is not None and proc.is_alive():
-                self._task_queues[index].put(("drop_caches", shard))
-
-    def close(self) -> None:
-        """Stop the workers after their queues drain."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            procs = list(self._procs)
-            queues = list(self._task_queues)
-            collector = self._collector
-        for proc, tasks in zip(procs, queues):
-            if proc is not None and proc.is_alive():
-                tasks.put(("stop",))
-        for proc in procs:
-            if proc is not None:
-                proc.join(timeout=10)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5)
-        if collector is not None and collector.is_alive():
-            collector.join(timeout=10)
-        for tasks in queues:
-            if tasks is not None:
-                tasks.cancel_join_thread()
-                tasks.close()
-        self._results.cancel_join_thread()
-        self._results.close()
 
 
 def scatter_gather(

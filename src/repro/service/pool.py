@@ -165,22 +165,6 @@ class StorePool:
     def store_for(self, user_id: str) -> ProvenanceStore:
         return self.store(self.shard_of(user_id))
 
-    def ensure_schema(self, shard: int) -> str:
-        """Guarantee *shard*'s file and schema exist; returns its path.
-
-        Process-worker preparation: before the parent hands a shard to
-        a worker process it creates the store file here, so the parent
-        (future reader) and the child (exclusive writer) never race the
-        initial schema script on the same fresh file.  A shard whose
-        file already exists costs one ``os.path.exists``; in-memory
-        pools are a no-op (they cannot be shared across processes at
-        all).
-        """
-        path = self.shard_path(shard)
-        if self.root is not None and not os.path.exists(path):
-            self.store(shard)  # opening creates the file + schema
-        return path
-
     @contextmanager
     def checkout(self, shard: int):
         """Yield *shard*'s store, pinned against LRU eviction.

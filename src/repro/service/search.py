@@ -34,7 +34,7 @@ shard's watermark plus the cache epoch the page was computed in.
 
 Every input to the blend is a deterministic function of shard state,
 so ranked results — scores, page boundaries, and cursors alike — are
-identical across the serial, thread, and process ingest substrates:
+identical across the serial and threaded ingest drains:
 the same state-equivalence contract the row tables already carry.
 
 Concurrency contract: everything in this module is pure computation

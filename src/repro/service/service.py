@@ -24,6 +24,7 @@ never escape (global results carry ``(user_id, node_id)`` pairs).
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
@@ -45,7 +46,6 @@ from repro.errors import (
     ConfigurationError,
     ReproError,
     UnknownNodeError,
-    WorkerCrashedError,
 )
 from repro.service.cache import GLOBAL_SCOPE, CacheStats, QueryCache
 from repro.service.events import (
@@ -154,50 +154,26 @@ class DeadLetter:
         )
 
 
-def parse_workers(workers: int | str | None, shards: int) -> tuple[str, int]:
-    """Resolve the service's ``workers=`` spec to ``(mode, count)``.
+def parse_workers(workers: int | str | None, shards: int) -> int:
+    """Resolve the service's ``workers=`` spec to a flush-thread count.
 
     Accepted specs::
 
-        None / 0        serial drain (the benchmark baseline)
-        N               N flush threads (back-compat integer form)
-        "auto"          thread mode, min(shards, cpu_count) workers
-        "thread[:N]"    thread mode, explicit or auto count
-        "process[:N]"   shard worker processes, explicit or auto count
+        None / 0   serial drain in the calling thread
+        N          N flush threads
+        "auto"     min(shards, cpu_count) flush threads (the default)
 
-    Thread workers overlap shard I/O (fsync, WAL writes); process
-    workers add CPU parallelism past the GIL, at the cost of one
-    interpreter per worker and journal-codec serialization on every
-    batch hand-off.
+    Flush threads overlap shard I/O (fsync, WAL writes); a shard maps
+    to exactly one thread, so a count past ``shards`` buys nothing.
     """
     if workers is None:
-        return ("thread", 0)
-    if isinstance(workers, bool):
-        raise ConfigurationError(f"invalid workers spec: {workers!r}")
-    if isinstance(workers, int):
-        if workers < 0:
-            raise ConfigurationError("workers must be >= 0 (or a mode spec)")
-        return ("thread", workers)
-    if isinstance(workers, str):
-        mode, _sep, count_text = workers.partition(":")
-        if mode == "auto":
-            mode = "thread"
-        if mode in ("thread", "process"):
-            if not count_text:
-                count = min(shards, os.cpu_count() or 1)
-            else:
-                try:
-                    count = int(count_text)
-                except ValueError:
-                    count = -1
-                if count < 1:
-                    raise ConfigurationError(
-                        f"invalid worker count in spec {workers!r}"
-                    )
-            return (mode, count)
+        return 0
+    if workers == "auto":
+        return min(shards, os.cpu_count() or 1)
+    if isinstance(workers, int) and not isinstance(workers, bool) and workers >= 0:
+        return workers
     raise ConfigurationError(
-        f"workers must be an int, None, 'auto', 'thread[:N]', or"
-        f" 'process[:N]', not {workers!r}"
+        f"workers must be None, an int >= 0, or 'auto', not {workers!r}"
     )
 
 
@@ -380,14 +356,14 @@ class ProvenanceService:
           record entirely — :meth:`verify_integrity` then raises
           :class:`~repro.errors.ConfigurationError`.
         """
-        worker_mode, worker_count = parse_workers(workers, shards)
+        worker_count = parse_workers(workers, shards)
         self._tmp: tempfile.TemporaryDirectory | None = None
         if root is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="prov-service-")
             root = self._tmp.name
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._lock_path: str | None = None
+        self._lock_fd: int | None = None
         self._fanout: ThreadPoolExecutor | None = None
         self._fanout_lock = threading.Lock()
         self._acquire_lock()
@@ -440,8 +416,7 @@ class ProvenanceService:
             )
             self.ingest = IngestPipeline(
                 self.pool, self.journal, batch_size=batch_size,
-                cache=self.cache, workers=worker_count,
-                worker_mode=worker_mode, index=index,
+                cache=self.cache, workers=worker_count, index=index,
                 metrics=self.metrics, tracer=self.tracer,
             )
             self._users: set[str] = set()
@@ -599,8 +574,6 @@ class ProvenanceService:
         self.journal.pop_deadletter(seq)
         try:
             self.ingest.flush(self.pool.shard_of(replacement.user_id))
-        except WorkerCrashedError:
-            raise  # infrastructure: the event is requeued, not poison
         except ReproError:
             self.ingest.quarantine_pending()
             raise
@@ -689,10 +662,6 @@ class ProvenanceService:
             if compact:
                 store.compact_terms()
             store.commit()
-        # A shard worker process holds its own store instance whose
-        # row caches now point at deleted rows; tell it to forget them
-        # before the next batch.
-        self.ingest.drop_shard_caches(shard)
         self.cache.invalidate_user(user_id)
         self.cache.roll_epoch()
         # The deletion itself becomes part of the auditable record: a
@@ -740,7 +709,6 @@ class ProvenanceService:
             if compact:
                 store.compact_terms()
             store.commit()
-        self.ingest.drop_shard_caches(shard)
         self.cache.invalidate_user(user_id)
         self.cache.roll_epoch()
         # Redaction hides *what* was forgotten but not *that* a
@@ -1212,10 +1180,7 @@ class ProvenanceService:
         histograms summarize as count/sum/min/max plus estimated
         p50/p95/p99 (fixed-bucket linear interpolation); labeled
         counters render per-label series as ``name{label=value}`` keys
-        next to the grand total.  Process-mode worker metrics are
-        already folded in: children ship deltas on their batch
-        acknowledgements, so the snapshot covers both worker substrates
-        identically.  Deliberately transport-agnostic — a future HTTP
+        next to the grand total.  Deliberately transport-agnostic — a future HTTP
         adapter can serve this dict per endpoint unchanged.
 
         Point-in-time gauges (queue depth, open stores, cache size) are
@@ -1363,63 +1328,41 @@ class ProvenanceService:
     # -- internals --------------------------------------------------------------
 
     def _acquire_lock(self) -> None:
-        """Exclusive per-root lock (pid file).
+        """Exclusive per-root lock: ``flock`` on ``<root>/service.lock``.
 
         Two live services on one root would allocate the same journal
         sequences and overwrite each other's edges across tenants, so
-        the second open must fail loudly.  A lock left by a dead
-        process (crash) is stolen.
+        the second open must fail loudly.  The lock is held on an open
+        descriptor for the service's lifetime and the kernel drops it
+        when the holder closes or dies, so a crashed service leaves
+        nothing to steal.  The file is never unlinked: a later opener
+        would lock a fresh inode while the holder still held the old
+        one.  The pid written into it only names the holder in the
+        refusal message.
         """
         lock_path = os.path.join(self.root, "service.lock")
-        for _attempt in range(10):
+        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
             try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                holder = self._lock_holder(lock_path)
-                if holder is not None:
-                    raise ConfigurationError(
-                        f"service root {self.root!r} is already open in"
-                        f" process {holder}; concurrent services on one"
-                        f" root would corrupt shared shards"
-                    )
-                try:
-                    os.unlink(lock_path)  # stale lock from a dead process
-                except FileNotFoundError:
-                    pass
-                continue
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                holder = os.read(fd, 32).decode("ascii", "replace").strip()
+                raise ConfigurationError(
+                    f"service root {self.root!r} is already open in process"
+                    f" {holder or '(still starting)'}; concurrent services"
+                    f" on one root would corrupt shared shards"
+                ) from None
+            os.ftruncate(fd, 0)
             os.write(fd, str(os.getpid()).encode("ascii"))
+        except BaseException:
             os.close(fd)
-            self._lock_path = lock_path
-            return
-        raise ConfigurationError(
-            f"could not acquire the service lock at {lock_path!r}"
-        )
-
-    @staticmethod
-    def _lock_holder(lock_path: str) -> int | None:
-        """The live pid holding *lock_path*, or None if stale/unreadable."""
-        try:
-            with open(lock_path, "r", encoding="ascii") as handle:
-                pid = int(handle.read().strip() or 0)
-        except (FileNotFoundError, ValueError):
-            return None
-        if pid <= 0:
-            return None
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return None
-        except PermissionError:
-            return pid  # alive, owned by someone else
-        return pid
+            raise
+        self._lock_fd = fd
 
     def _release_lock(self) -> None:
-        if self._lock_path is not None:
-            try:
-                os.unlink(self._lock_path)
-            except FileNotFoundError:
-                pass
-            self._lock_path = None
+        if self._lock_fd is not None:
+            os.close(self._lock_fd)  # closing the descriptor drops the flock
+            self._lock_fd = None
 
     def _check_layout(self, shards: int) -> None:
         """Pin the shard count to the service root.

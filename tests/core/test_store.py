@@ -1,5 +1,7 @@
 """Tests for the SQLite homogeneous provenance store."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,12 @@ from repro.core.model import ProvEdge, ProvNode
 from repro.core.schema import SCHEMA_VERSION
 from repro.core.store import ProvenanceStore
 from repro.core.taxonomy import EdgeKind, NodeKind
-from repro.errors import SchemaVersionError, StoreClosedError, UnknownNodeError
+from repro.errors import (
+    SchemaVersionError,
+    StoreAffinityError,
+    StoreClosedError,
+    UnknownNodeError,
+)
 
 
 def visit(node_id, ts, url=None, label="", **attrs):
@@ -235,6 +242,28 @@ class TestLifecycle:
         assert store.node_count() == graph.node_count
         loaded = store.load_graph()
         assert loaded.node_count == graph.node_count
+        store.close()
+
+    def test_forked_handle_is_refused(self, tmp_path):
+        """A store handle that crossed a fork must fail loudly, not
+        corrupt the shard: the child shares the parent's SQLite file
+        locks and statement state."""
+        store = ProvenanceStore(str(tmp_path / "s.sqlite"))
+        store.append_node(visit("a", 1))
+        store.commit()
+        pid = os.fork()
+        if pid == 0:
+            # Child: any use of the inherited handle must raise.
+            code = 1
+            try:
+                store.node_count()
+            except StoreAffinityError:
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert store.node_count() == 1  # parent handle still fine
         store.close()
 
 

@@ -405,33 +405,36 @@ class TestCrashReplay:
         assert verify_journal(path).ok
 
     def test_kill_mid_flush_chain_survives(self, tmp_path):
-        """SIGKILL a shard worker mid-flush, abandon the parent
-        (simulated crash), reopen: replay recovers the events and the
-        chain verifies end to end."""
+        """Crash the service with some batches applied by its flush
+        thread and the tail still buffered, reopen: replay recovers
+        the events exactly once and the chain verifies end to end."""
         root = str(tmp_path / "svc")
         service = ProvenanceService(root, shards=2, batch_size=4,
-                                    workers="process:1")
+                                    workers=1)
         for i in range(30):
             service.record_node("alice", visit(f"v{i}", i + 1))
             if i > 0:
                 service.record_edge("alice", EdgeKind.LINK, f"v{i-1}",
                                     f"v{i}", timestamp_us=i + 1)
-        procs = service.ingest._pool_workers.processes()
-        assert procs
-        procs[0].kill()
-        service.close(flush=False)  # simulated parent crash
+        service.close(flush=False)  # simulated crash, no final flush
+        assert service.ingest.stats.applied > 0  # some batches landed
+        assert service.ingest.pending() > 0  # the tail never did
 
-        recovered = ProvenanceService(root, shards=2, workers="process:1")
-        assert recovered.stats("alice").nodes == 30
+        recovered = ProvenanceService(root, shards=2, workers=1)
+        assert recovered.replayed > 0
+        stats = recovered.stats("alice")
+        assert (stats.nodes, stats.edges) == (30, 29)
         report = recovered.verify_integrity()
         assert report.ok, report.detail
         recovered.close()
 
-    @pytest.mark.parametrize("workers", [0, "thread:2", "process:2"])
+    @pytest.mark.parametrize(
+        "workers", [0, pytest.param(2, id="thread:2")]
+    )
     def test_crash_before_flush_replays_verifiable(self, tmp_path, workers):
         """Journaled-but-unapplied events (crash before any flush) must
         replay on reopen with the chain intact, in every worker mode."""
-        root = str(tmp_path / f"svc-{str(workers).replace(':', '-')}")
+        root = str(tmp_path / f"svc-{workers}")
         service = ProvenanceService(root, shards=2, batch_size=64,
                                     workers=workers)
         for i in range(20):
@@ -448,11 +451,13 @@ class TestCrashReplay:
 class TestRetentionResealing:
     """Deletion is legitimate; it must re-seal, not break, the record."""
 
-    @pytest.mark.parametrize("workers", [0, "thread:2", "process:2"])
+    @pytest.mark.parametrize(
+        "workers", [0, pytest.param(2, id="thread:2")]
+    )
     def test_retention_and_compaction_stay_green(self, tmp_path, workers):
         """The regression row: retention surgery plus index and segment
-        compaction, then verify — in serial, thread, and process modes."""
-        root = str(tmp_path / f"svc-{str(workers).replace(':', '-')}")
+        compaction, then verify — in serial and thread modes."""
+        root = str(tmp_path / f"svc-{workers}")
         service = ProvenanceService(
             root, shards=2, batch_size=8, workers=workers,
             journal_rotate_bytes=2048,

@@ -3,11 +3,8 @@
 The acceptance story: the registry's primitives are exact where they
 must be (counters) and accurate where estimation suffices (histogram
 quantiles); the same ingest stream books identical metric totals under
-the serial drain, thread workers, and process workers (whose child
-deltas ride the ack queue home); a worker killed mid-flush costs
-nothing — counts after recovery match a never-crashed run exactly;
-and ``health()`` tracks the dead-letter lifecycle through quarantine
-and redrive.
+the serial drain and thread workers; and ``health()`` tracks the
+dead-letter lifecycle through quarantine and redrive.
 """
 
 import os
@@ -17,7 +14,6 @@ import pytest
 from repro.core.model import ProvNode
 from repro.core.store import ProvenanceStore
 from repro.core.taxonomy import EdgeKind, NodeKind
-from repro.errors import WorkerCrashedError
 from repro.service import (
     NULL_REGISTRY,
     NULL_TRACER,
@@ -137,53 +133,6 @@ class TestRegistrySnapshot:
         assert snap["histograms"]["lat"]["count"] == 1
 
 
-class TestDeltaProtocol:
-    def test_drain_returns_none_when_idle(self):
-        registry = MetricsRegistry()
-        registry.counter("c")
-        assert registry.drain_delta() is None
-
-    def test_drain_is_incremental(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        first = registry.drain_delta()
-        assert first["counters"]["c"][0] == 3
-        assert registry.drain_delta() is None
-        registry.counter("c").inc(2)
-        second = registry.drain_delta()
-        assert second["counters"]["c"][0] == 2
-
-    def test_merge_reconstructs_source_totals(self):
-        child = MetricsRegistry()
-        child.counter("events", label_name="shard").inc(4, label=0)
-        child.counter("events", label_name="shard").inc(6, label=1)
-        child.histogram("lat").observe(0.002)
-        child.histogram("lat").observe(0.2)
-
-        parent = MetricsRegistry()
-        parent.counter("events", label_name="shard").inc(1, label=0)
-        parent.merge_delta(child.drain_delta())
-        # A second batch of child activity drains as a fresh delta.
-        child.counter("events", label_name="shard").inc(5, label=1)
-        child.histogram("lat").observe(0.02)
-        parent.merge_delta(child.drain_delta())
-
-        snap = parent.snapshot()
-        assert snap["counters"]["events"] == 16
-        assert snap["counters"]["events{shard=0}"] == 5
-        assert snap["counters"]["events{shard=1}"] == 11
-        lat = snap["histograms"]["lat"]
-        assert lat["count"] == 3
-        assert lat["sum"] == pytest.approx(0.222)
-        assert lat["min"] == pytest.approx(0.002)
-        assert lat["max"] == pytest.approx(0.2)
-
-    def test_merge_none_is_noop(self):
-        registry = MetricsRegistry()
-        registry.merge_delta(None)
-        assert registry.snapshot()["counters"] == {}
-
-
 class TestNullRegistry:
     def test_disabled_and_inert(self):
         assert NULL_REGISTRY.enabled is False
@@ -193,7 +142,6 @@ class TestNullRegistry:
         assert NULL_REGISTRY.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {},
         }
-        assert NULL_REGISTRY.drain_delta() is None
 
 
 class TestTracer:
@@ -241,36 +189,25 @@ class TestTracer:
         assert NULL_TRACER.slow_ops() == []
 
 
-class TestStoreReadOpsCompat:
-    def test_read_ops_counts_both_surfaces(self, tmp_path):
+class TestStoreReadOps:
+    def test_read_ops_land_in_the_registry(self, tmp_path):
         registry = MetricsRegistry()
         store = ProvenanceStore(str(tmp_path / "s.db"), metrics=registry)
         store.append_nodes([visit("a", 1, "hello")])
         store.commit()
         store.nodes_brief(["a"])
-        assert store.read_ops["nodes_brief"] == 1
         counters = registry.snapshot()["counters"]
         assert counters["store.read_ops"] == 1
         assert counters["store.read_ops{op=nodes_brief}"] == 1
         store.close()
 
-    def test_metricless_store_keeps_legacy_counter(self, tmp_path):
-        store = ProvenanceStore(str(tmp_path / "s.db"))
-        store.append_nodes([visit("a", 1)])
-        store.commit()
-        store.nodes_brief(["a"])
-        assert store.read_ops["nodes_brief"] == 1
-        store.close()
 
-
-def make_pipeline(root, registry, *, shards=4, batch_size=16, workers=None,
-                  worker_mode="thread"):
+def make_pipeline(root, registry, *, shards=4, batch_size=16, workers=None):
     pool = StorePool(os.path.join(root, "shards"), shards=shards,
                      metrics=registry)
     journal = IngestJournal(os.path.join(root, "j.log"), metrics=registry)
     pipeline = IngestPipeline(pool, journal, batch_size=batch_size,
-                              workers=workers, worker_mode=worker_mode,
-                              metrics=registry)
+                              workers=workers, metrics=registry)
     return pool, pipeline
 
 
@@ -292,14 +229,11 @@ def submit_stream(pipeline, users=4, nodes_per_user=25):
 class TestWorkerModeParity:
     """The same stream books the same totals in every worker mode."""
 
-    @pytest.mark.parametrize("mode", [
-        {"workers": 0},                              # serial drain
-        {"workers": 2, "worker_mode": "thread"},
-        {"workers": 2, "worker_mode": "process"},
-    ], ids=["serial", "thread", "process"])
-    def test_event_totals_match_submitted(self, tmp_path, mode):
+    @pytest.mark.parametrize("workers", [0, 2], ids=["serial", "thread"])
+    def test_event_totals_match_submitted(self, tmp_path, workers):
         registry = MetricsRegistry()
-        pool, pipeline = make_pipeline(str(tmp_path), registry, **mode)
+        pool, pipeline = make_pipeline(str(tmp_path), registry,
+                                       workers=workers)
         count = submit_stream(pipeline)
         pipeline.flush()
         counters = registry.snapshot()["counters"]
@@ -313,45 +247,6 @@ class TestWorkerModeParity:
         assert sum(per_shard) == count
         hist = registry.snapshot()["histograms"]
         assert hist["apply.batch"]["count"] == counters["apply.batches"]
-        pipeline.close()
-        pool.close()
-
-    def test_process_mode_ships_read_ops_home(self, tmp_path):
-        """Child-side store metrics (labelled read_ops) merge into the
-        parent registry — process mode is not a blind spot."""
-        registry = MetricsRegistry()
-        pool, pipeline = make_pipeline(str(tmp_path), registry, workers=2,
-                                       worker_mode="process")
-        submit_stream(pipeline)
-        pipeline.flush()
-        pipeline.close()
-        pool.close()
-        counters = registry.snapshot()["counters"]
-        assert counters["apply.batches"] >= 1
-
-
-class TestProcessCrashExactlyOnce:
-    def test_kill_mid_flush_keeps_counts_exact(self, tmp_path):
-        """A worker killed mid-flush drops its in-flight deltas; the
-        requeued batches recount on re-apply.  After recovery, event
-        totals equal the submitted count exactly — crashed work is
-        neither lost nor double-booked."""
-        registry = MetricsRegistry()
-        pool, pipeline = make_pipeline(str(tmp_path), registry,
-                                       batch_size=8, workers=2,
-                                       worker_mode="process")
-        count = submit_stream(pipeline)
-        procs = pipeline._pool_workers.processes()
-        assert procs, "dispatch should have spawned workers"
-        procs[0].kill()
-        try:
-            pipeline.flush()
-        except WorkerCrashedError:
-            pipeline.flush()  # requeued batches re-apply idempotently
-        assert pipeline.pending() == 0
-        counters = registry.snapshot()["counters"]
-        assert counters["ingest.events"] == count
-        assert counters["apply.events"] == count
         pipeline.close()
         pool.close()
 

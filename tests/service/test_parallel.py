@@ -262,6 +262,40 @@ class TestParallelEqualsSerial:
             pool.close()
         assert dumps["parallel"] == dumps["serial"]
 
+    def test_ranked_search_identical_across_drains(self, tmp_path):
+        """The relevance index is maintained from the apply path, so
+        serial and threaded flushes must leave byte-identical index
+        tables — and therefore identical ranked results, scores
+        included."""
+        dumps = {}
+        ranked = {}
+        for mode, workers in (("serial", None), ("thread", 2)):
+            service = ProvenanceService(
+                str(tmp_path / mode), shards=4, batch_size=16,
+                workers=workers,
+            )
+            for i in range(25):
+                for u in range(3):
+                    user = f"user{u:02d}"
+                    service.record_node(user, visit(
+                        f"n{i:03d}", i + 1,
+                        label=f"page {i} about wine topic {i % 5}",
+                        url=f"http://site{u}.example.com/p{i}",
+                    ))
+            service.flush()
+            dumps[mode] = {
+                shard: store_dump(service.pool.store(shard))
+                for shard in range(4)
+            }
+            ranked[mode] = (
+                service.ranked_search("wine topic", limit=20),
+                service.ranked_search("wine", user_id="user01", limit=10),
+            )
+            service.close()
+        assert dumps["thread"] == dumps["serial"]
+        assert ranked["thread"] == ranked["serial"]
+        assert ranked["serial"][0], "ranked search found nothing"
+
     def test_parallel_flush_applies_everything(self, tmp_path):
         pool = StorePool(str(tmp_path / "shards"), shards=4)
         journal = IngestJournal(str(tmp_path / "j.log"))

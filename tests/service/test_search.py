@@ -500,27 +500,27 @@ class TestRetentionFacade:
             service.forget_site("::bad::", "x.com")
 
 
-class TestCrossProcessCoherence:
-    """Worker processes hold their own store instances; parent-side
-    rebuilds and retention surgery must stay coherent with them."""
+class TestWorkerCoherence:
+    """Query-side rebuilds and retention surgery run off the flush
+    thread; the flush thread's later batches must stay coherent with
+    them."""
 
-    def test_ingest_after_rebuild_is_not_lost_with_process_workers(
+    def test_ingest_after_rebuild_is_not_lost_with_thread_workers(
         self, tmp_path
     ):
-        """index=False + process workers: the worker must re-mark the
-        shard stale after every disabled batch, even though the
-        parent's lazy rebuild set it ready in between — otherwise
-        everything ingested after the first ranked query is silently
-        unsearchable forever."""
+        """index=False + a flush thread: every disabled batch must
+        re-mark the shard stale, even though the lazy rebuild of a
+        ranked query set it ready in between — otherwise everything
+        ingested after the first ranked query is silently unsearchable
+        forever."""
         svc = ProvenanceService(str(tmp_path / "svc"), shards=1,
-                                batch_size=2, workers="process:1",
-                                index=False)
+                                batch_size=2, workers=1, index=False)
         try:
             svc.record_node("alice", visit("n1", 1, "findable one"))
             svc.flush()
             assert [hit.nid for hit in svc.ranked_search(
                 "findable", user_id="alice"
-            )] == ["n1"]  # parent rebuilt the stale shard
+            )] == ["n1"]  # the query rebuilt the stale shard
             svc.record_node("alice", visit("n2", 2, "findable two"))
             svc.flush()
             assert {hit.nid for hit in svc.ranked_search(
@@ -529,20 +529,20 @@ class TestCrossProcessCoherence:
         finally:
             svc.close()
 
-    def test_ingest_after_retention_with_process_workers(self, tmp_path):
-        """Retention surgery deletes rows from the parent; the shard's
-        worker process must drop its row caches, or re-recording an
-        expired node id would write edges against the deleted rowid."""
+    def test_ingest_after_retention_with_thread_workers(self, tmp_path):
+        """Retention surgery deletes rows under the shard's store; its
+        row caches must drop with them, or re-recording an expired node
+        id would write edges against the deleted rowid."""
         svc = ProvenanceService(str(tmp_path / "svc"), shards=1,
-                                batch_size=2, workers="process:1")
+                                batch_size=2, workers=1)
         try:
             svc.record_node("alice", visit("a", 1, "old a"))
             svc.record_node("alice", visit("b", 2, "old b"))
             svc.flush()
             report = svc.expire_before("alice", 10 * DAY_US)
             assert report.nodes_removed == 2
-            # Re-record the same ids and connect them: the worker must
-            # resolve fresh rowids, not its pre-surgery cache.
+            # Re-record the same ids and connect them: the flush thread
+            # must resolve fresh rowids, not a pre-surgery cache.
             svc.record_node("alice", visit("a", 20 * DAY_US, "new a"))
             svc.record_node("alice", visit("b", 21 * DAY_US, "new b"))
             svc.record_edge("alice", EdgeKind.LINK, "a", "b",
@@ -551,31 +551,5 @@ class TestCrossProcessCoherence:
             stats = svc.stats("alice")
             assert (stats.nodes, stats.edges) == (2, 1)
             assert svc.ancestors("alice", "b") == [("a", 1)]
-        finally:
-            svc.close()
-
-
-class TestProcessHandoffEncoding:
-    def test_submit_time_payloads_are_consumed_by_dispatch(self, tmp_path):
-        """Process mode caches the journal line at submit and drains it
-        at dispatch — nothing may linger after a full flush."""
-        svc = ProvenanceService(str(tmp_path / "svc"), shards=2,
-                                batch_size=4, workers="process:1")
-        try:
-            for i in range(20):
-                svc.record_node("alice", visit(f"n{i}", i + 1, f"page {i}"))
-            svc.flush()
-            assert svc.ingest._payloads == {}
-            assert svc.stats("alice").nodes == 20
-        finally:
-            svc.close()
-
-    def test_thread_mode_never_caches_payloads(self, tmp_path):
-        svc = ProvenanceService(str(tmp_path / "svc"), shards=2,
-                                batch_size=4, workers="thread:1")
-        try:
-            for i in range(8):
-                svc.record_node("alice", visit(f"n{i}", i + 1))
-            assert svc.ingest._payloads == {}
         finally:
             svc.close()

@@ -4,7 +4,7 @@ The two acceptance stories:
 
 * **Wire equivalence** — a ranked-search cursor chain driven over
   HTTP produces byte-identical pages (canonical JSON) to the same
-  chain driven in-process, across both worker substrates.
+  chain driven in-process, under the serial drain and thread workers.
 * **Shed before the journal** — requests rejected at admission (rate
   limit, quota, invalid tenant, overload) leave the ``journal.*`` and
   ``ingest.*`` counters exactly where they were: a 429 costs zero
@@ -90,7 +90,7 @@ class Client:
 def served(tmp_path):
     """A seeded service behind a server, default admission."""
     with ProvenanceService(
-        tmp_path / "svc", shards=2, workers="thread:2"
+        tmp_path / "svc", shards=2, workers=2
     ) as service:
         with ProvenanceServer(service) as server:
             client = Client(server.port)
@@ -124,7 +124,10 @@ def drain_wire_pages(client, term, *, user=None, limit=5, max_pages=50):
 
 
 class TestWireEquivalence:
-    @pytest.mark.parametrize("workers", ["thread:2", "process:2"])
+    @pytest.mark.parametrize(
+        "workers",
+        [pytest.param(0, id="serial"), pytest.param(2, id="thread:2")],
+    )
     def test_ranked_pages_byte_identical_to_in_process(
         self, tmp_path, workers
     ):
@@ -392,7 +395,7 @@ class TestAdmissionOverWire:
         """The tentpole invariant, measured: under a sealed bucket the
         429 count rises while every journal/ingest counter stays flat."""
         with ProvenanceService(
-            tmp_path / "svc", shards=2, workers="thread:2"
+            tmp_path / "svc", shards=2, workers=2
         ) as service:
             params = ServerParams(
                 admission=AdmissionParams(rate_per_s=0.0, burst=4)

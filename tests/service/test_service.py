@@ -1,12 +1,15 @@
 """Tests for the service facade: isolation, caching, recovery."""
 
+import os
+import threading
+
 import pytest
 
 from repro.core.capture import NodeInterval
 from repro.core.model import ProvNode
 from repro.core.taxonomy import EdgeKind, NodeKind
 from repro.errors import ConfigurationError, UnknownNodeError
-from repro.service import ProvenanceService
+from repro.service import ProvenanceService, parse_workers
 
 
 def visit(node_id, ts, label="", url=None):
@@ -342,6 +345,27 @@ class TestRecovery:
         reopened.close()
 
 
+class TestWorkersSpec:
+    def test_count_specs_parse(self):
+        cpus = min(4, os.cpu_count() or 1)
+        assert parse_workers(None, 4) == 0
+        assert parse_workers(0, 4) == 0
+        assert parse_workers(3, 4) == 3
+        assert parse_workers("auto", 4) == cpus
+
+    @pytest.mark.parametrize(
+        "spec", ["thread:2", "thread:-1", "process", "process:0",
+                 "process:zero", "prcess", -1, 2.5, True]
+    )
+    def test_bad_specs_rejected(self, spec):
+        with pytest.raises(ConfigurationError):
+            parse_workers(spec, 4)
+
+    def test_service_rejects_a_mode_prefix(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            ProvenanceService(str(tmp_path / "svc"), workers="thread:2")
+
+
 class TestFacade:
     def test_edge_ids_unique_across_users(self, service):
         service.record_node("alice", visit("a", 1))
@@ -400,6 +424,52 @@ class TestFacade:
         # Clean close releases the lock.
         second = ProvenanceService(root, shards=2)
         second.close()
+
+    def test_open_racing_an_unwritten_lock_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        """The first opener is paused in its first ``os.write`` (the
+        lock's pid) while a second opens the same root.  An empty lock
+        file must not read as a stale one: exactly one open wins."""
+        root = str(tmp_path / "race")
+        real_write = os.write
+        paused = threading.Event()
+        release = threading.Event()
+        first_ident = []
+
+        def pausing_write(fd, data):
+            if first_ident == [threading.get_ident()] and not paused.is_set():
+                paused.set()
+                release.wait(10)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", pausing_write)
+        opened = []
+        refused = []
+
+        def try_open():
+            try:
+                opened.append(ProvenanceService(root, shards=2))
+            except ConfigurationError as exc:
+                refused.append(exc)
+
+        def first_open():
+            first_ident.append(threading.get_ident())
+            try_open()
+
+        first = threading.Thread(target=first_open)
+        first.start()
+        try:
+            assert paused.wait(10), "first opener never wrote its lock"
+            try_open()
+        finally:
+            release.set()
+            first.join(10)
+            for service in opened:
+                service.close()
+        assert not first.is_alive()
+        assert (len(opened), len(refused)) == (1, 1)
+        assert "already open" in str(refused[0])
 
     def test_stale_lock_from_dead_process_is_stolen(self, tmp_path):
         import os

@@ -127,7 +127,7 @@ class TestDtoRoundTrips:
 
 
 class TestCanonicalJson:
-    def test_equal_payloads_are_identical_bytes(self):
+    def test_equal_dicts_are_identical_bytes(self):
         a = {"b": 1, "a": [1, 2], "c": {"y": 0.5, "x": None}}
         b = {"c": {"x": None, "y": 0.5}, "a": [1, 2], "b": 1}
         assert canonical_json(a) == canonical_json(b)
