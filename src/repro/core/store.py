@@ -377,10 +377,22 @@ class ProvenanceStore:
         ``id -> nid`` or ``url -> page_id`` entry would let the next
         batch write edges or nodes against deleted rowids.
         """
-        self._nids.clear()
-        self._node_ts.clear()
+        self.drop_node_caches()
         self._pages.clear()
         self._tids.clear()
+
+    def drop_node_caches(self) -> None:
+        """Forget the per-node ``id -> nid`` and timestamp caches.
+
+        They hold one entry per node written or probed, so a long-lived
+        writer that never drops them grows with its lifetime ingest.
+        The service's apply path drops them after every committed
+        batch, bounding them to one batch's nodes and endpoints; the
+        page and term caches grow only with distinct URLs and terms
+        and stay.
+        """
+        self._nids.clear()
+        self._node_ts.clear()
 
     def __enter__(self) -> "ProvenanceStore":
         return self

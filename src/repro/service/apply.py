@@ -47,7 +47,8 @@ def apply_event_batch(
     failure the open transaction is rolled back (which also drops the
     store's row-id caches) and the error re-raises — the caller decides
     between requeue, quarantine, and crash replay; the journal still
-    holds every event either way.
+    holds every event either way.  After a commit the store's per-node
+    caches are dropped too, so they never hold more than one batch.
 
     *metrics* (a registry or the null default) books per-batch timing
     and counts; the pipeline passes the service registry.
@@ -109,6 +110,9 @@ def apply_event_batch(
         metrics.counter("apply.failures").inc()
         raise
     store.commit()
+    # The per-node row caches are scoped to one transaction: kept, they
+    # would hold every node the shard ever wrote.
+    store.drop_node_caches()
     metrics.counter("apply.batches").inc()
     metrics.counter("apply.events").inc(len(batch))
     metrics.histogram("apply.batch").observe(time.perf_counter() - started)

@@ -29,6 +29,13 @@ Writes take two hops:
    read-your-own-writes by draining the caller's shard synchronously
    while other shards keep flushing in the background.
 
+A write *request* (the facade's ``record_events``) commits as a unit:
+inside the pipeline's per-thread commit scope every event stages and
+buffers as usual, but the journal commit and the dispatch wait for the
+scope's end, which pays one ``sync`` for the highest staged sequence
+and then holds the writer while the apply backlog is over its
+high-water mark (flow control; see :meth:`IngestPipeline._commit_scope`).
+
 The journal is segmented: when the active file exceeds
 ``rotate_bytes`` it is rotated to a ``<path>.seg-<lastseq>`` sidecar,
 and compaction deletes any segment whose entries are all checkpointed —
@@ -57,7 +64,8 @@ import time
 from bisect import bisect_right
 from hashlib import sha256 as _sha256
 from collections import deque
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from repro.core.model import AttrValue, ProvEdge
 from repro.core.taxonomy import EdgeKind
@@ -1002,6 +1010,25 @@ class IngestStats:
         return self.submitted + self.replayed - self.applied - self.quarantined
 
 
+@dataclass
+class _RequestCommit:
+    """What an open commit scope owes its next commit."""
+
+    #: Highest sequence staged (0: none).
+    top: int = 0
+    #: Events staged.
+    staged: int = 0
+    #: Shards whose buffer reached ``batch_size``.
+    shards: set[int] = field(default_factory=set)
+    #: The serial drain's backlog reached ``batch_size``.
+    serial_flush: bool = False
+
+
+class _ThreadScope(threading.local):
+    #: The calling thread's open commit scope, if any.
+    commit: _RequestCommit | None = None
+
+
 class IngestPipeline:
     """Journal-then-batch ingest across the sharded store pool.
 
@@ -1045,6 +1072,9 @@ class IngestPipeline:
         self._metric_replayed = self.metrics.counter("ingest.replayed")
         self._metric_quarantined = self.metrics.counter("ingest.quarantined")
         self._metric_submit = self.metrics.histogram("ingest.submit")
+        self._metric_backpressure = self.metrics.histogram(
+            "ingest.backpressure_wait"
+        )
         self._submit_tick = 0
         #: Health bookkeeping (always on — it is a handful of dict
         #: stores per event/batch, far below the metrics budget).
@@ -1070,6 +1100,12 @@ class IngestPipeline:
         #: write-only workload (no reads, no explicit flushes) still
         #: move the checkpoint and compact the journal periodically.
         self._settled_since_checkpoint = 0
+        self._scope = _ThreadScope()
+        #: Apply backlog above which a committed request waits for the
+        #: flush threads.  It exceeds ``shards * (batch_size - 1)``, the
+        #: most the buffers can hold without a full batch to dispatch,
+        #: so an over-mark backlog always has dispatched work to wait on.
+        self._backlog_mark = 2 * batch_size * pool.shards
 
     # -- accepting events -------------------------------------------------------
 
@@ -1156,13 +1192,89 @@ class IngestPipeline:
     def _settle_submit(
         self, seq: int, dispatch_shard: int | None, serial_flush: bool
     ) -> None:
-        """Pay the journal I/O and trigger the decided drain."""
+        """Pay the journal I/O and trigger the decided drain.
+
+        Inside a commit scope both are owed to the scope's next commit
+        instead (see :meth:`_commit_scope`).
+        """
+        commit = self._scope.commit
+        if commit is not None:
+            commit.top = seq  # a thread's sequences only grow
+            commit.staged += 1
+            if dispatch_shard is not None:
+                commit.shards.add(dispatch_shard)
+            commit.serial_flush |= serial_flush
+            if commit.staged >= self._backlog_mark:
+                # A request this large commits in chunks, so neither
+                # its staged lines nor one shard's batch outgrow the
+                # mark, and it meets the backlog wait as it goes.
+                self._scope.commit = _RequestCommit()
+                self._commit_request(commit)
+            return
         self.journal.sync(seq)
         if dispatch_shard is not None:
             with self._lock:
                 self._dispatch_locked(dispatch_shard)
         if serial_flush:
             self.flush()
+
+    @contextmanager
+    def _commit_scope(self):
+        """One journal commit for every event the calling thread submits.
+
+        The facade's ``record_events`` enters it: :meth:`submit` and
+        :meth:`submit_edge` stage and buffer as always but owe the
+        journal sync and the dispatch to the scope's end, where
+        :meth:`_commit_request` pays them — in a ``finally``, so a
+        request that raises midway still commits its staged prefix.
+        Only a request of more than ``_backlog_mark`` events commits
+        more than once.  Nested scopes join the outermost one.
+        """
+        if self._scope.commit is not None:
+            yield
+            return
+        self._scope.commit = _RequestCommit()
+        try:
+            yield
+        finally:
+            commit, self._scope.commit = self._scope.commit, None
+            self._commit_request(commit)
+
+    def _commit_request(self, commit: _RequestCommit) -> None:
+        """Pay what a commit scope owes, then wait out the backlog.
+
+        One :meth:`IngestJournal.sync` for the highest staged sequence;
+        then each flagged shard whose buffer still holds a full batch
+        is dispatched (the serial drain flushes as per event); then the
+        writer waits while the apply backlog is over the mark.
+        """
+        if not commit.top:
+            return
+        self.journal.sync(commit.top)
+        if commit.shards:
+            with self._lock:
+                for shard in sorted(commit.shards):
+                    if len(self._buffers.get(shard, ())) >= self.batch_size:
+                        self._dispatch_locked(shard)
+        if commit.serial_flush:
+            self.flush()
+        self._await_backlog()
+
+    def _await_backlog(self) -> None:
+        """Hold a committed writer while apply is behind (flow control).
+
+        Waits while the backlog is over the mark *and* some dispatched
+        batch is still unsettled; the flush threads wake it as each
+        batch settles.  A batch parked behind a poisoned shard counts
+        as settled for this, so the wait ends once nothing left in
+        flight can shrink the backlog.
+        """
+        workers = self._pool_workers
+        if workers is None or self._pending <= self._backlog_mark:
+            return
+        started = time.perf_counter()
+        if workers.wait_while(lambda: self._pending > self._backlog_mark):
+            self._metric_backpressure.observe(time.perf_counter() - started)
 
     def _enqueue(self, seq: int, event: ProvEvent) -> int:
         shard = self.pool.shard_of(event.user_id)
@@ -1214,10 +1326,15 @@ class IngestPipeline:
         ]
 
     def pending(self, shard: int | None = None) -> int:
-        """Events accepted but not yet applied (buffered or in flight)."""
+        """Events accepted but not yet applied (buffered or in flight).
+
+        The total is one int read, without the pipeline lock: the
+        server's admission gate calls it on the event loop thread, and
+        the lock is held across checkpoint fsyncs and compaction.
+        """
+        if shard is None:
+            return self._pending
         with self._lock:
-            if shard is None:
-                return self._pending
             buffered = len(self._buffers.get(shard, ()))
             inflight = sum(
                 len(batch) for batch in self._inflight.get(shard, ())

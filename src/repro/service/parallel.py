@@ -31,10 +31,12 @@ shard's continuation watermark.
 
 Concurrency contract: the worker pool is driven by one pipeline thread
 at a time (the ingest pipeline serializes dispatch/barrier under its
-own lock); :func:`scatter_gather` tasks run on arbitrary pool threads
-concurrently with flush workers, so they must only touch stores
-through checkout + read connections.  :func:`ranked_merge` is pure
-computation — no locks, safe anywhere.
+own lock), while any number of request writers may park in
+:meth:`ShardWorkerPool.wait_while` (the pipeline's apply-backlog flow
+control) outside that lock; :func:`scatter_gather` tasks run on
+arbitrary pool threads concurrently with flush workers, so they must
+only touch stores through checkout + read connections.
+:func:`ranked_merge` is pure computation — no locks, safe anywhere.
 """
 
 from __future__ import annotations
@@ -174,6 +176,21 @@ class ShardWorkerPool:
                 self._done.wait_for(
                     lambda: self._outstanding_by_shard.get(shard, 0) == 0
                 )
+
+    def wait_while(self, busy: Callable[[], bool]) -> bool:
+        """Block while *busy()* holds and some dispatched batch is
+        unsettled; returns whether it blocked at all.
+
+        Every settle (applied or parked) wakes the waiters, so *busy*
+        is re-checked after each.  It runs under the pool lock and must
+        not take a lock a dispatcher holds.
+        """
+        waited = False
+        with self._done:
+            while self._outstanding and busy():
+                self._done.wait()
+                waited = True
+        return waited
 
     def drain_failures(
         self, shard: int | None = None

@@ -499,12 +499,12 @@ class ProvenanceServer:
         # The tentpole invariant: admission happens HERE, on the loop
         # thread, before any executor hand-off — a rejected batch never
         # reaches the journal (no append, no sequence, no SQLite).
+        # pending() is a lock-free read, so the loop never waits on the
+        # pipeline lock.
         self.admission.admit_write(costs, self.service.ingest.pending())
-
-        def submit() -> list[int]:
-            return [self.service.record_event(event) for event in events]
-
-        seqs = await self._call(submit)
+        # One journal commit for the whole request: the 200 goes out
+        # only once every event in it is durable.
+        seqs = await self._call(lambda: self.service.record_events(events))
         return {"accepted": len(seqs), "seqs": seqs}
 
     async def _ep_flush(self, request: WireRequest) -> Any:

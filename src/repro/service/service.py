@@ -31,6 +31,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 from repro.core.capture import NodeInterval
 from repro.core.graph import ProvenanceGraph
@@ -451,6 +452,21 @@ class ProvenanceService:
             ).id
         return self.ingest.submit(event)
 
+    def record_events(self, events: Iterable[ProvEvent]) -> list[int]:
+        """Accept a batch of events under one journal commit.
+
+        Each event takes the :meth:`record_event` path (validation,
+        edge-id remapping) and gets its own sequence, returned in
+        order, but the journal write, fsync and hash chain are paid
+        once for the whole batch: when this returns, every event is
+        durable.  If an event raises, the events before it are still
+        committed and durable, and the error re-raises.  A writer
+        that outruns the flush threads is held here, after its
+        commit, until apply catches up.
+        """
+        with self.ingest._commit_scope():
+            return [self.record_event(event) for event in events]
+
     def record_node(self, user_id: str, node: ProvNode) -> int:
         return self.record_event(NodeEvent(user_id=user_id, node=node))
 
@@ -493,26 +509,29 @@ class ProvenanceService:
 
         The bridge from the single-user capture layer: nodes land first,
         then edges (ids remapped to journal sequences), then intervals.
-        Returns the number of events submitted.
+        The whole graph commits to the journal once, as one
+        :meth:`record_events` request does.  Returns the number of
+        events submitted.
         """
         validate_user_id(user_id)
         events = 0
-        for node in graph.nodes():
-            self.record_node(user_id, node)
-            events += 1
-        for edge in graph.edges():
-            self.record_edge(
-                user_id,
-                edge.kind,
-                edge.src,
-                edge.dst,
-                timestamp_us=edge.timestamp_us,
-                attrs=dict(edge.attrs) or None,
-            )
-            events += 1
-        for interval in intervals:
-            self.record_interval(user_id, interval)
-            events += 1
+        with self.ingest._commit_scope():
+            for node in graph.nodes():
+                self.record_node(user_id, node)
+                events += 1
+            for edge in graph.edges():
+                self.record_edge(
+                    user_id,
+                    edge.kind,
+                    edge.src,
+                    edge.dst,
+                    timestamp_us=edge.timestamp_us,
+                    attrs=dict(edge.attrs) or None,
+                )
+                events += 1
+            for interval in intervals:
+                self.record_interval(user_id, interval)
+                events += 1
         return events
 
     def flush(self) -> int:

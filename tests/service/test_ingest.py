@@ -420,6 +420,17 @@ class TestDurableHandoff:
     def test_drain_skips_staged_but_unsynced_events(
         self, tmp_path, monkeypatch, workers
     ):
+        self.held_fsync_drain(tmp_path, monkeypatch, workers, "event")
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "threads"])
+    def test_drain_skips_a_staged_but_unsynced_request(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """On the request path the staged events wait for the commit
+        scope's end, so the unsynced window spans the whole request."""
+        self.held_fsync_drain(tmp_path, monkeypatch, workers, "request")
+
+    def held_fsync_drain(self, tmp_path, monkeypatch, workers, path):
         pool = StorePool(str(tmp_path / "shards"), shards=1)
         journal = IngestJournal(str(tmp_path / "j.log"), fsync=True)
         pipeline = IngestPipeline(
@@ -427,6 +438,9 @@ class TestDurableHandoff:
         )
         store = pool.store_for("alice")
         pipeline.submit(node_event("alice", "a", 1))
+        late = [node_event("alice", "b", 2)]
+        if path == "request":
+            late.append(node_event("alice", "c", 3))
 
         # Hold the next fsync: the group-commit leader for event "b"
         # has written its line but not yet made it durable.
@@ -440,15 +454,23 @@ class TestDurableHandoff:
                 release.wait(10)
             real_fsync(fd)
 
+        def write():
+            if path == "event":
+                pipeline.submit(late[0])
+                return
+            with pipeline._commit_scope():
+                for event in late:
+                    pipeline.submit(event)
+
         monkeypatch.setattr(os, "fsync", held_fsync)
-        writer = threading.Thread(
-            target=pipeline.submit, args=(node_event("alice", "b", 2),)
-        )
+        writer = threading.Thread(target=write)
         drainer = threading.Thread(target=pipeline.drain_for_read, args=(0,))
         writer.start()
         try:
             assert held.wait(10)
-            assert (journal.durable_seq, journal.last_seq) == (1, 2)
+            assert (journal.durable_seq, journal.last_seq) == (
+                1, 1 + len(late)
+            )
             drainer.start()
             deadline = time.monotonic() + 10
             while store.counts_for_id_prefix("alice::")[0] == 0:
@@ -462,9 +484,9 @@ class TestDurableHandoff:
             release.set()
             writer.join(10)
             drainer.join(10)
-        assert journal.durable_seq == 2
+        assert journal.durable_seq == 1 + len(late)
         pipeline.drain_for_read(0)
-        assert store.counts_for_id_prefix("alice::")[0] == 2
+        assert store.counts_for_id_prefix("alice::")[0] == 1 + len(late)
         assert pipeline.pending() == 0
         pipeline.close()
         pool.close()
@@ -476,6 +498,17 @@ class TestDurableHandoff:
         """Stress: writers on every shard and a reader draining in a
         loop; every applied batch must lie within the journal's durable
         head at apply time, and nothing may be lost or left behind."""
+        self.concurrent_drains(tmp_path, monkeypatch, workers, "event")
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "threads"])
+    def test_concurrent_request_drains_never_apply_past_the_durable_head(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """The same stress with request writers, which commit once per
+        12 events as ``record_events`` does."""
+        self.concurrent_drains(tmp_path, monkeypatch, workers, "request")
+
+    def concurrent_drains(self, tmp_path, monkeypatch, workers, path):
         pool = StorePool(str(tmp_path / "shards"), shards=2)
         journal = IngestJournal(str(tmp_path / "j.log"), fsync=True)
         pipeline = IngestPipeline(pool, journal, batch_size=8, workers=workers)
@@ -497,8 +530,14 @@ class TestDurableHandoff:
         stop = threading.Event()
 
         def write(user):
-            for i in range(60):
-                pipeline.submit(node_event(user, f"n{i}", i + 1))
+            if path == "event":
+                for i in range(60):
+                    pipeline.submit(node_event(user, f"n{i}", i + 1))
+                return
+            for start in range(0, 60, 12):
+                with pipeline._commit_scope():
+                    for i in range(start, start + 12):
+                        pipeline.submit(node_event(user, f"n{i}", i + 1))
 
         def drain():
             while not stop.is_set():
@@ -528,3 +567,102 @@ class TestDurableHandoff:
             assert pool.store_for(user).counts_for_id_prefix(user + "::")[0] == 60
         pipeline.close()
         pool.close()
+
+
+class TestFlowControl:
+    """A request writer that outruns the flush threads waits for them
+    after its commit, and never for work that can no longer settle."""
+
+    def test_waiter_returns_when_the_backlog_is_parked_behind_a_poison(
+        self, tmp_path, monkeypatch
+    ):
+        pool = StorePool(str(tmp_path / "shards"), shards=2)
+        journal = IngestJournal(str(tmp_path / "j.log"))
+        pipeline = IngestPipeline(pool, journal, batch_size=4, workers=2)
+        mark = 2 * 4 * 2
+
+        def failing_apply(store, batch, **kwargs):
+            time.sleep(0.05)  # the writer is parked in its wait by now
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(ingest_module, "apply_event_batch", failing_apply)
+        done = threading.Event()
+
+        def write():
+            for request in range(4):
+                with pipeline._commit_scope():
+                    for i in range(40):
+                        user = ("alice", "bob")[i % 2]
+                        pipeline.submit(node_event(user, f"r{request}n{i}"))
+            done.set()
+
+        threading.Thread(target=write, daemon=True).start()
+        assert done.wait(10), "a backlog wait outlived every settle"
+        assert pipeline.pending() == 160 > mark
+        assert pipeline.poisoned_shards()
+        with pytest.raises(RuntimeError):
+            pipeline.flush()
+        assert pipeline.pending() == 160  # requeued, still pending
+        pipeline.close()
+        pool.close()
+
+    def test_slowed_apply_holds_the_backlog_at_the_mark(
+        self, tmp_path, monkeypatch
+    ):
+        """Apply at a fraction of the writer's pace: the backlog stays
+        within one request of the mark, so a shed ceiling just above
+        it never fires, and every wait is booked."""
+        from repro.service import (
+            AdmissionController,
+            AdmissionParams,
+            ProvenanceService,
+        )
+
+        real_apply = ingest_module.apply_event_batch
+
+        def slow_apply(store, batch, **kwargs):
+            time.sleep(0.002)
+            return real_apply(store, batch, **kwargs)
+
+        monkeypatch.setattr(ingest_module, "apply_event_batch", slow_apply)
+        batch_size, shards, request = 8, 2, 16
+        mark = 2 * batch_size * shards
+        gate = AdmissionController(
+            AdmissionParams(max_pending_events=mark + request)
+        )
+        users = ["alice", "bob", "carol", "dave"]
+        with ProvenanceService(
+            str(tmp_path / "svc"), shards=shards, batch_size=batch_size,
+            workers=2,
+        ) as service:
+            peak, stop = [0], threading.Event()
+
+            def monitor():
+                while not stop.is_set():
+                    peak[0] = max(peak[0], service.ingest.pending())
+
+            watcher = threading.Thread(target=monitor)
+            watcher.start()
+            try:
+                for start in range(0, 640, request):
+                    events = [
+                        node_event(users[i % 4], f"n{i}", i + 1)
+                        for i in range(start, start + request)
+                    ]
+                    gate.admit_write(
+                        {user: request // 4 for user in users},
+                        service.ingest.pending(),
+                    )
+                    service.record_events(events)
+                    assert service.ingest.pending() <= mark
+            finally:
+                stop.set()
+                watcher.join(10)
+            assert not watcher.is_alive()
+            assert peak[0] <= mark + request
+            waits = service.metrics_snapshot()["histograms"][
+                "ingest.backpressure_wait"
+            ]
+            assert waits["count"] >= 1
+            service.flush()
+            assert service.stats("dave").nodes == 160

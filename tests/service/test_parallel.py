@@ -22,7 +22,7 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.service import ProvenanceService
-from repro.service.events import IntervalEvent, NodeEvent
+from repro.service.events import EdgeEvent, IntervalEvent, NodeEvent
 from repro.service.ingest import IngestJournal, IngestPipeline
 from repro.service.parallel import ShardWorkerPool, scatter_gather
 from repro.service.pool import StorePool
@@ -266,35 +266,52 @@ class TestParallelEqualsSerial:
         """The relevance index is maintained from the apply path, so
         serial and threaded flushes must leave byte-identical index
         tables — and therefore identical ranked results, scores
-        included."""
+        included.  Per-event ingest (one journal commit per event) and
+        batched ``record_events`` (one per request) of the same stream
+        must agree too: batching moves commits, not content."""
+        stream = []
+        for i in range(25):
+            for u in range(3):
+                user = f"user{u:02d}"
+                stream.append(node_event(
+                    user, f"n{i:03d}", i + 1,
+                    label=f"page {i} about wine topic {i % 5}",
+                    url=f"http://site{u}.example.com/p{i}",
+                ))
+                if i:
+                    stream.append(EdgeEvent(user_id=user, edge=ProvEdge(
+                        id=0, kind=EdgeKind.LINK, src=f"n{i - 1:03d}",
+                        dst=f"n{i:03d}", timestamp_us=i + 1,
+                    )))
         dumps = {}
         ranked = {}
-        for mode, workers in (("serial", None), ("thread", 2)):
-            service = ProvenanceService(
-                str(tmp_path / mode), shards=4, batch_size=16,
-                workers=workers,
-            )
-            for i in range(25):
-                for u in range(3):
-                    user = f"user{u:02d}"
-                    service.record_node(user, visit(
-                        f"n{i:03d}", i + 1,
-                        label=f"page {i} about wine topic {i % 5}",
-                        url=f"http://site{u}.example.com/p{i}",
-                    ))
-            service.flush()
-            dumps[mode] = {
-                shard: store_dump(service.pool.store(shard))
-                for shard in range(4)
-            }
-            ranked[mode] = (
-                service.ranked_search("wine topic", limit=20),
-                service.ranked_search("wine", user_id="user01", limit=10),
-            )
-            service.close()
-        assert dumps["thread"] == dumps["serial"]
-        assert ranked["thread"] == ranked["serial"]
-        assert ranked["serial"][0], "ranked search found nothing"
+        for drain, workers in (("serial", None), ("thread", 2)):
+            for ingest in ("event", "request"):
+                mode = f"{drain}-{ingest}"
+                service = ProvenanceService(
+                    str(tmp_path / mode), shards=4, batch_size=16,
+                    workers=workers,
+                )
+                if ingest == "event":
+                    for event in stream:
+                        service.record_event(event)
+                else:
+                    for start in range(0, len(stream), 20):
+                        service.record_events(stream[start:start + 20])
+                service.flush()
+                dumps[mode] = {
+                    shard: store_dump(service.pool.store(shard))
+                    for shard in range(4)
+                }
+                ranked[mode] = (
+                    service.ranked_search("wine topic", limit=20),
+                    service.ranked_search("wine", user_id="user01", limit=10),
+                )
+                service.close()
+        for mode in ("thread-event", "serial-request", "thread-request"):
+            assert dumps[mode] == dumps["serial-event"], mode
+            assert ranked[mode] == ranked["serial-event"], mode
+        assert ranked["serial-event"][0], "ranked search found nothing"
 
     def test_parallel_flush_applies_everything(self, tmp_path):
         pool = StorePool(str(tmp_path / "shards"), shards=4)

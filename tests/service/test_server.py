@@ -13,6 +13,7 @@ The two acceptance stories:
 
 import json
 import socket
+import threading
 import time
 
 import http.client
@@ -558,3 +559,92 @@ class TestConnectionBehaviour:
                 chunks += chunk
         assert b"200" in chunks.split(b"\r\n", 1)[0]
         assert b"Connection: close" in chunks
+
+
+def fsyncs(service):
+    return service.metrics_snapshot()["counters"].get("journal.fsyncs", 0)
+
+
+class TestRequestCommitOverWire:
+    """``POST /v1/events`` commits the journal once, and its 200 means
+    every event in it is durable."""
+
+    def test_one_fsync_per_request(self, tmp_path):
+        with ProvenanceService(
+            tmp_path / "svc", shards=2, workers=2, fsync=True
+        ) as service:
+            with ProvenanceServer(service) as server:
+                client = Client(server.port)
+                before = fsyncs(service)
+                status, _h, raw = client.post(
+                    "/v1/events",
+                    {"events": [encode_event(e) for e in seed_events(4, 16)]},
+                )
+                assert status == 200, raw
+                assert json.loads(raw)["accepted"] == 64
+                assert fsyncs(service) == before + 1
+                client.close()
+
+    def test_ack_means_durable(self, tmp_path):
+        root = tmp_path / "svc"
+        events = seed_events(4, 16)
+        service = ProvenanceService(root, shards=2, workers=2, fsync=True)
+        with ProvenanceServer(service) as server:
+            client = Client(server.port)
+            status, _h, raw = client.post(
+                "/v1/events", {"events": [encode_event(e) for e in events]}
+            )
+            client.close()
+        assert status == 200, raw
+        acked = json.loads(raw)["seqs"]
+        service.close(flush=False)  # crash right after the 200
+
+        with ProvenanceService(root, shards=2, workers=2) as recovered:
+            assert recovered.replayed == len(acked) == 64
+            for user in ("user0", "user1", "user2", "user3"):
+                assert recovered.stats(user).nodes == 16
+            assert recovered.verify_integrity().ok
+
+    def test_event_loop_never_waits_on_the_pipeline_lock(self, tmp_path):
+        """The write route's admission reads the ingest backlog on the
+        loop thread.  While another thread holds the pipeline lock (a
+        checkpoint fsync or a compaction), that read must not block the
+        loop: a request that never touches the pipeline stays fast."""
+        with ProvenanceService(
+            tmp_path / "svc", shards=2, workers=2
+        ) as service:
+            with ProvenanceServer(service) as server:
+                held = threading.Event()
+
+                def hold_lock():
+                    with service.ingest._lock:
+                        held.set()
+                        time.sleep(2.0)
+
+                statuses = []
+
+                def write():
+                    writer = Client(server.port)
+                    statuses.append(writer.post(
+                        "/v1/events",
+                        {"events": [encode_event(seed_events(1, 1)[0])]},
+                    )[0])
+                    writer.close()
+
+                holder = threading.Thread(target=hold_lock)
+                holder.start()
+                assert held.wait(10)
+                poster = threading.Thread(target=write)
+                poster.start()
+                time.sleep(0.2)  # the write is at admission by now
+                reader = Client(server.port)
+                started = time.perf_counter()
+                status = reader.get("/v1/slow_ops")[0]
+                elapsed = time.perf_counter() - started
+                reader.close()
+                holder.join(10)
+                poster.join(10)
+                assert not holder.is_alive() and not poster.is_alive()
+                assert status == 200
+                assert elapsed < 1.0, f"slow_ops waited {elapsed:.2f}s"
+                assert statuses == [200]

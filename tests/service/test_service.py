@@ -6,10 +6,12 @@ import threading
 import pytest
 
 from repro.core.capture import NodeInterval
-from repro.core.model import ProvNode
+from repro.core.graph import ProvenanceGraph
+from repro.core.model import ProvEdge, ProvNode
 from repro.core.taxonomy import EdgeKind, NodeKind
 from repro.errors import ConfigurationError, UnknownNodeError
 from repro.service import ProvenanceService, parse_workers
+from repro.service.events import EdgeEvent, NodeEvent
 
 
 def visit(node_id, ts, label="", url=None):
@@ -495,3 +497,134 @@ class TestFacade:
                 service.record_edge("alice", EdgeKind.LINK, "a", "ghost",
                                     timestamp_us=1)
                 raise KeyError("boom")
+
+
+def request_events(user, count, *, start=0):
+    """A causal request: *count* visits chained by links."""
+    events = []
+    for i in range(start, start + count):
+        events.append(NodeEvent(user_id=user, node=visit(f"n{i}", i + 1)))
+        if i > start:
+            events.append(EdgeEvent(user_id=user, edge=ProvEdge(
+                id=0, kind=EdgeKind.LINK, src=f"n{i - 1}", dst=f"n{i}",
+                timestamp_us=i + 1,
+            )))
+    return events
+
+
+def journal_commits(service):
+    return service.metrics_snapshot()["counters"].get(
+        "journal.group_commits", 0
+    )
+
+
+class TestRequestCommit:
+    """``record_events`` and ``ingest_graph`` pay one journal commit."""
+
+    def test_record_events_commits_once_and_returns_sequences(
+        self, tmp_path
+    ):
+        with ProvenanceService(str(tmp_path / "svc"), shards=2) as service:
+            events = request_events("alice", 20)
+            before = journal_commits(service)
+            seqs = service.record_events(events)
+            assert journal_commits(service) == before + 1
+            assert seqs == list(range(1, len(events) + 1))
+            assert service.journal.durable_seq == seqs[-1]
+            assert service.stats("alice").edges == 19
+
+    def test_a_request_over_the_backlog_mark_commits_in_chunks(
+        self, tmp_path
+    ):
+        """Past ``2 * batch_size * shards`` events a request commits
+        as it goes, so no shard batch outgrows the mark."""
+        with ProvenanceService(
+            str(tmp_path / "svc"), shards=2, batch_size=4, workers=2
+        ) as service:
+            before = journal_commits(service)
+            service.record_events(
+                [NodeEvent(user_id="alice", node=visit(f"n{i}", i + 1))
+                 for i in range(40)]
+            )
+            assert journal_commits(service) == before + 3  # 16 + 16 + 8
+            service.flush()
+            assert service.stats("alice").nodes == 40
+
+    def test_a_raise_midway_commits_the_staged_prefix(
+        self, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "svc")
+        service = ProvenanceService(root, shards=2)
+        journal = service.journal
+        real_stage, calls = journal.stage, []
+
+        def stage(event, payload=None):
+            calls.append(event)
+            if len(calls) == 4:
+                raise OSError("encoder blew up")
+            return real_stage(event, payload)
+
+        monkeypatch.setattr(journal, "stage", stage)
+        with pytest.raises(OSError):
+            service.record_events(
+                [NodeEvent(user_id="alice", node=visit(f"n{i}", i + 1))
+                 for i in range(6)]
+            )
+        assert journal._staged == []
+        assert journal.durable_seq == journal.last_seq == 3
+        service.close(flush=False)
+
+        recovered = ProvenanceService(root, shards=2)
+        assert recovered.replayed == 3
+        assert recovered.stats("alice").nodes == 3
+        recovered.close()
+
+    def test_ingest_graph_is_one_commit_with_remapped_edge_ids(
+        self, tmp_path
+    ):
+        graph = ProvenanceGraph()
+        for i in range(4):
+            graph.add_node(visit(f"n{i}", i + 1))
+        for i in range(1, 4):
+            graph.add_edge(EdgeKind.LINK, f"n{i - 1}", f"n{i}",
+                           timestamp_us=i + 1)
+        interval = NodeInterval(node_id="n0", tab_id=1, opened_us=1,
+                                closed_us=5)
+        with ProvenanceService(str(tmp_path / "svc"), shards=2) as service:
+            service.record_node("bob", visit("x", 1))
+            before = journal_commits(service)
+            assert service.ingest_graph(
+                "alice", graph, intervals=[interval]
+            ) == 8
+            assert journal_commits(service) == before + 1
+            service.flush()
+            store = service.pool.store_for("alice")
+            stored = store.conn.execute("SELECT id FROM prov_edges")
+            # bob's node took sequence 1, alice's nodes 2-5, edges 6-8.
+            assert sorted(row[0] for row in stored) == [6, 7, 8]
+            assert service.ancestors("alice", "n3") == [
+                ("n2", 1), ("n1", 2), ("n0", 3)
+            ]
+
+
+class TestRowCacheBound:
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "threads"])
+    def test_stores_hold_at_most_one_batch_of_node_rows(
+        self, tmp_path, workers
+    ):
+        """The per-node row caches are scoped to one apply
+        transaction; kept, they grow with every node ever written."""
+        batch_size = 16
+        with ProvenanceService(
+            str(tmp_path / "svc"), shards=2, batch_size=batch_size,
+            workers=workers,
+        ) as service:
+            for user in ("alice", "bob", "carol"):
+                for event in request_events(user, 60):
+                    service.record_event(event)
+            service.flush()
+            for shard in range(2):
+                store = service.pool.store(shard)
+                assert len(store._nids) <= batch_size
+                assert len(store._node_ts) <= batch_size
+            assert service.stats("carol").nodes == 60
