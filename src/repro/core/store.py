@@ -31,6 +31,7 @@ from repro.browser.transitions import TransitionType
 from repro.core.capture import NodeInterval
 from repro.core.graph import ProvenanceGraph
 from repro.core.model import AttrValue, ProvEdge, ProvNode
+from repro.core.retention import EdgeRow, NodeFacts
 from repro.core.schema import (
     ANCESTOR_QUERY,
     DESCENDANT_QUERY,
@@ -1242,6 +1243,11 @@ class ProvenanceStore:
 
     # -- retention surgery (per-tenant delete paths) ------------------------------------
 
+    def tenant_rows(self, id_prefix: str) -> "TenantRows":
+        """The rows under *id_prefix*, read as a retention plan reads
+        them (:class:`repro.core.retention.RetentionRows`)."""
+        return TenantRows(self, id_prefix)
+
     def load_subgraph(
         self, id_prefix: str, *, enforce_dag: bool = False
     ) -> ProvenanceGraph:
@@ -1632,3 +1638,118 @@ class ProvenanceStore:
             {"start": node_id, "max_depth": max_depth, "kinds_csv": kinds_csv},
         )
         return [(row[0], row[1]) for row in rows]
+
+
+class TenantRows:
+    """:class:`repro.core.retention.RetentionRows` for one tenant of a
+    shard, in SQL.
+
+    A retention plan reads its doomed rows, their edges and their
+    neighbours, never the tenant's whole subgraph: ids select through
+    the tenant's ``id`` range or the ``id`` index, URLs through the
+    page index, and edges through ``prov_edges_src`` /
+    ``prov_edges_dst``.  Edges count only when both endpoints are the
+    tenant's, as in :meth:`ProvenanceStore.load_subgraph`.  Each read
+    takes the store's read context, so it runs on the writer
+    connection inside a caller's :meth:`ProvenanceStore.exclusive`
+    hold and beside a flush thread otherwise.
+    """
+
+    def __init__(self, store: ProvenanceStore, id_prefix: str) -> None:
+        self._store = store
+        self._prefix = id_prefix
+
+    def node_count(self) -> int:
+        predicate, bounds = _id_range("id", self._prefix)
+        with self._store._read_context() as conn:
+            return conn.execute(
+                "SELECT COUNT(*) FROM prov_nodes WHERE " + predicate, bounds
+            ).fetchone()[0]
+
+    def ids_before(self, cutoff_us: int) -> list[str]:
+        predicate, bounds = _id_range("id", self._prefix)
+        with self._store._read_context() as conn:
+            return [
+                row[0]
+                for row in conn.execute(
+                    "SELECT id FROM prov_nodes WHERE " + predicate
+                    + " AND timestamp_us < ?",
+                    (*bounds, cutoff_us),
+                )
+            ]
+
+    def urls(self) -> list[str]:
+        predicate, bounds = _id_range("id", self._prefix)
+        with self._store._read_context() as conn:
+            return [
+                row[0]
+                for row in conn.execute(
+                    "SELECT url FROM prov_pages WHERE id IN"
+                    " (SELECT page_id FROM prov_nodes WHERE " + predicate + ")",
+                    bounds,
+                )
+            ]
+
+    def ids_with_urls(self, urls: list[str]) -> list[str]:
+        predicate, bounds = _id_range("n.id", self._prefix)
+        out: list[str] = []
+        with self._store._read_context() as conn:
+            for chunk in _chunked(list(urls)):
+                placeholders = ",".join("?" * len(chunk))
+                out.extend(
+                    row[0]
+                    for row in conn.execute(
+                        f"SELECT n.id FROM prov_pages AS p"
+                        f" JOIN prov_nodes AS n ON n.page_id = p.id"
+                        f" WHERE p.url IN ({placeholders}) AND {predicate}",
+                        (*chunk, *bounds),
+                    )
+                )
+        return out
+
+    def edges_into(self, ids: list[str]) -> list[EdgeRow]:
+        return self._edges(ids, "dst")
+
+    def edges_out_of(self, ids: list[str]) -> list[EdgeRow]:
+        return self._edges(ids, "src")
+
+    def _edges(self, ids: list[str], end: str) -> list[EdgeRow]:
+        """The tenant's edges whose *end* (``src``/``dst``) is in *ids*."""
+        prefix = self._prefix
+        out: list[EdgeRow] = []
+        with self._store._read_context() as conn:
+            for chunk in _chunked(list(ids)):
+                placeholders = ",".join("?" * len(chunk))
+                for edge_id, kind, src, dst, bridged in conn.execute(
+                    f"SELECT e.id, e.kind, s.id, d.id, a.value"
+                    f" FROM prov_nodes AS k"
+                    f" JOIN prov_edges AS e ON e.{end} = k.nid"
+                    f" JOIN prov_nodes AS s ON s.nid = e.src"
+                    f" JOIN prov_nodes AS d ON d.nid = e.dst"
+                    f" LEFT JOIN prov_edge_attrs AS a"
+                    f"  ON a.edge_id = e.id AND a.name = 'bridged'"
+                    f" WHERE k.id IN ({placeholders})",
+                    chunk,
+                ):
+                    if src.startswith(prefix) and dst.startswith(prefix):
+                        out.append(EdgeRow(
+                            edge_id, EDGE_KINDS_BY_ID[kind], src, dst,
+                            bridged == 1,
+                        ))
+        return out
+
+    def facts(self, ids: list[str]) -> dict[str, NodeFacts]:
+        out: dict[str, NodeFacts] = {}
+        with self._store._read_context() as conn:
+            for chunk in _chunked(list(ids)):
+                placeholders = ",".join("?" * len(chunk))
+                for node_id, kind, when, nid in conn.execute(
+                    f"SELECT id, kind, timestamp_us, nid FROM prov_nodes"
+                    f" WHERE id IN ({placeholders})",
+                    chunk,
+                ):
+                    # load_subgraph's node order: (timestamp_us, nid).
+                    out[node_id] = NodeFacts(
+                        NODE_KINDS_BY_ID[kind], when, (when, nid)
+                    )
+        return out

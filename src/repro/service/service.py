@@ -36,12 +36,7 @@ from typing import Iterable
 from repro.core.capture import NodeInterval
 from repro.core.graph import ProvenanceGraph
 from repro.core.model import AttrValue, ProvNode
-from repro.core.retention import (
-    RedactionReport,
-    RetentionReport,
-    expire_before as graph_expire_before,
-    forget_site as graph_forget_site,
-)
+from repro.core.retention import RedactionReport, RetentionReport
 from repro.core.taxonomy import EdgeKind
 from repro.errors import (
     ConfigurationError,
@@ -66,6 +61,7 @@ from repro.service.indexer import ensure_index
 from repro.service.ingest import IngestJournal, IngestPipeline
 from repro.service.integrity import IntegrityReport
 from repro.service.metrics import COUNT_BUCKETS, MetricsRegistry, NULL_REGISTRY
+from repro.service import retention
 from repro.service.parallel import ranked_merge, scatter_gather
 from repro.service.pool import PoolStats, StorePool
 from repro.service.tracing import NULL_TRACER, Tracer
@@ -610,103 +606,37 @@ class ProvenanceService:
     ) -> RetentionReport:
         """Expire *user_id*'s provenance older than *cutoff_us*.
 
-        Runs :func:`repro.core.retention.expire_before` per-tenant
-        through the shard pool: the tenant's subgraph is loaded, the
-        expiration (with lineage bridging, unless ``bridge=False``)
-        computed, and the doomed nodes surgically removed from the
-        shard — rows, attrs, intervals, and relevance-index postings
-        alike; no other tenant's rows are touched.  Bridge edges
-        re-enter through the normal journaled write path, so their ids
-        come from the journal sequence and can never collide with
-        another tenant's edges.
-
-        A full pipeline barrier runs first: every journaled event is
-        applied and checkpointed before the surgery, so a crash replay
-        can never resurrect expired rows.  Bridges are journaled and
-        flushed *before* the deletion — a crash in between leaves the
-        bridges persisted and the expired nodes still present, and
-        re-running the expiration finishes the job (already-persisted
-        bridges are recognized and never re-submitted, so repeated runs
-        add nothing twice).  The tenant's cached queries drop and the
-        ingest epoch rolls (deleted data must not serve from the
-        cross-shard cache, staleness budget or not) — which also kills
-        every outstanding paged-search cursor's continuation state, so
-        a cursor minted before the surgery re-scores and can never
-        resurface expired hits.  ``compact=True`` additionally sweeps
-        ghost vocabulary rows from the shard's relevance index in the
-        same transaction as the surgery (see
-        :func:`repro.service.indexer.compact_index` for the tid
-        stability invariants).  Run it quiesced for the tenant — events
-        submitted concurrently with the surgery may land before or
-        after the cutoff computation.
+        Applies :func:`repro.core.retention.expire_before`'s rules to
+        the tenant's rows on its shard: the doomed nodes are surgically
+        removed — rows, attrs, intervals, and relevance-index postings
+        alike; no other tenant's rows are touched — and, unless
+        ``bridge=False``, lineage is bridged across them with edges
+        journaled (and flushed) before the deletion.  A full pipeline
+        barrier runs first; afterwards the tenant's cached queries drop
+        and the ingest epoch rolls, which also kills every outstanding
+        paged-search cursor's continuation state, and a signed
+        tombstone records the pass.  ``compact=True`` additionally
+        sweeps ghost vocabulary rows from the shard's relevance index
+        in the same transaction as the surgery (see
+        :func:`repro.service.indexer.compact_index`).  Run it quiesced
+        for the tenant.  See :func:`repro.service.retention.expire_before`
+        for the crash contract.
         """
-        validate_user_id(user_id)
-        shard = self.pool.shard_of(user_id)
-        self.ingest.flush()  # journal barrier: checkpoint covers everything
-        prefix = qualify(user_id, "")
-        with self.pool.checkout(shard) as store:
-            graph = store.load_subgraph(prefix)
-        new_graph, report = graph_expire_before(
-            graph, cutoff_us, bridge=bridge
+        return retention.expire_before(
+            self, user_id, cutoff_us, bridge=bridge, compact=compact
         )
-        doomed = set(graph.node_ids()) - set(new_graph.node_ids())
-        # Journal only the *new* bridges: a surviving bridge from an
-        # earlier run is already a row, and re-submitting it would
-        # insert a duplicate edge under a fresh journal id.
-        persisted = {
-            (edge.src, edge.dst)
-            for edge in graph.edges()
-            if edge.attrs.get("bridged") == 1
-        }
-        bridges = [
-            edge
-            for edge in new_graph.edges()
-            if edge.attrs.get("bridged") == 1
-            and (edge.src, edge.dst) not in persisted
-        ]
-        for edge in bridges:
-            self.record_edge(
-                user_id,
-                edge.kind,
-                unqualify(user_id, edge.src),
-                unqualify(user_id, edge.dst),
-                timestamp_us=edge.timestamp_us,
-                attrs=dict(edge.attrs),
-            )
-        if bridges:
-            self.ingest.flush(shard)
-        with self.pool.checkout(shard) as store, store.exclusive():
-            store.delete_nodes_by_id(sorted(doomed))
-            store.prune_orphan_pages()
-            if compact:
-                store.compact_terms()
-            store.commit()
-        self.cache.invalidate_user(user_id)
-        self.cache.roll_epoch()
-        # The deletion itself becomes part of the auditable record: a
-        # signed tombstone says *what* retention removed and re-seals
-        # the manifest, so verification stays green afterwards.
-        self.journal.record_tombstone(
-            "expire_before",
-            user=user_id,
-            cutoff_us=cutoff_us,
-            nodes_removed=report.nodes_removed,
-            edges_removed=report.edges_removed,
-            bridges_added=report.bridge_edges_added,
-        )
-        return report
 
     def forget_site(
         self, user_id: str, site: str, *, compact: bool = False
     ) -> RedactionReport:
         """Redact every trace of *site* from *user_id*'s provenance.
 
-        Runs :func:`repro.core.retention.forget_site` per-tenant: the
-        site's nodes (and search terms that only led there) disappear
-        with no bridging — the point of redaction is that the
-        connection itself becomes unanswerable.  Page rows no tenant
-        references anymore are pruned, so the forgotten URLs do not
-        survive in ``prov_pages``; the relevance index drops the
+        Applies :func:`repro.core.retention.forget_site`'s rules to the
+        tenant's rows: the site's nodes (and search terms that only led
+        there) disappear with no bridging — the point of redaction is
+        that the connection itself becomes unanswerable.  Page rows no
+        tenant references anymore are pruned, so the forgotten URLs do
+        not survive in ``prov_pages``; the relevance index drops the
         documents in the same transaction, so ranked search cannot
         resurface them.  ``compact=True`` additionally sweeps ghost
         vocabulary rows in the same transaction — redaction is exactly
@@ -715,32 +645,7 @@ class ProvenanceService:
         Same barrier, cache, and quiescence contract as
         :meth:`expire_before`.
         """
-        validate_user_id(user_id)
-        shard = self.pool.shard_of(user_id)
-        self.ingest.flush()  # journal barrier: checkpoint covers everything
-        prefix = qualify(user_id, "")
-        with self.pool.checkout(shard) as store, store.exclusive():
-            graph = store.load_subgraph(prefix)
-            new_graph, report = graph_forget_site(graph, site)
-            doomed = set(graph.node_ids()) - set(new_graph.node_ids())
-            store.delete_nodes_by_id(sorted(doomed))
-            store.prune_orphan_pages()
-            if compact:
-                store.compact_terms()
-            store.commit()
-        self.cache.invalidate_user(user_id)
-        self.cache.roll_epoch()
-        # Redaction hides *what* was forgotten but not *that* a
-        # redaction ran: the tombstone names the site (the redaction
-        # request is itself an auditable act), not the removed rows.
-        self.journal.record_tombstone(
-            "forget_site",
-            user=user_id,
-            site=site,
-            nodes_removed=report.nodes_removed,
-            edges_removed=report.edges_removed,
-        )
-        return report
+        return retention.forget_site(self, user_id, site, compact=compact)
 
     # -- reads ------------------------------------------------------------------
 
