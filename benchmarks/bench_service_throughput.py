@@ -783,11 +783,8 @@ def test_integrity_chain_overhead(user_streams, tmp_path_factory):
 PAGED_DOCS = 400 if FAST else 10_000
 PAGED_PAGES = 5
 PAGED_LIMIT = 20
-#: The read helpers a full re-rank would call; a continuation must not.
-SCORING_OPS = (
-    "term_postings", "index_doc_lengths", "nodes_brief",
-    "tenant_page_visits",
-)
+#: The reads a full re-rank issues; a continuation must not.
+SCORING_OPS = ("ranked_scan", "ranking_aggregates")
 
 
 def _read_ops(service) -> dict:
@@ -835,6 +832,9 @@ def test_paged_search_continuation(tmp_path_factory):
     first_page_ms = (time.perf_counter() - started) * 1000
 
     before = _read_ops(service)
+    # The first page must have booked the ops the gate counts, or a
+    # renamed op would pass the gate without measuring anything.
+    assert all(before.get(op, 0) >= 1 for op in SCORING_OPS), before
     pages = [page]
     started = time.perf_counter()
     while len(pages) < PAGED_PAGES:
@@ -897,8 +897,9 @@ def test_paged_search_continuation(tmp_path_factory):
             ],
             "acceptance": {
                 "criterion": "pages 2-5 issue per-shard continuations:"
-                             " zero scoring reads (posting/brief/visit"
-                             " scans), one snippet fetch per page",
+                             " zero scoring reads (ranked-scan"
+                             " statements, aggregate reads), one snippet"
+                             " fetch per page",
                 "shards": INDEX_SHARDS,
                 "docs": PAGED_DOCS,
                 "scoring_reads_pages_2_5": scoring_reads,

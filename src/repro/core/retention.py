@@ -298,7 +298,9 @@ def _bridges(
     each of them to it (CO_OPEN edges are never walked: co-presence is
     not transitive).  The walk is bounded by the expired region, each
     (ancestor, descendant) pair is bridged once, and a bridge takes its
-    descendant's timestamp.
+    descendant's timestamp.  A lineage cycle through the expired region
+    can lead the walk back to the child itself; that pair carries no
+    lineage and is dropped (an edge cannot be its own provenance).
     """
     children = sorted({
         edge.dst
@@ -320,7 +322,8 @@ def _bridges(
                 if not edge.kind.is_lineage:
                     continue
                 if edge.src not in doomed:
-                    pairs.add((edge.src, child))
+                    if edge.src != child:
+                        pairs.add((edge.src, child))
                 elif edge.src not in visited:
                     visited.add(edge.src)
                     frontier.append(edge.src)

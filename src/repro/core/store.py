@@ -20,11 +20,12 @@ Supports bulk persistence (:meth:`save_graph`), write-through capture
 
 from __future__ import annotations
 
+import math
 import os
 import sqlite3
 import threading
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 
 from repro.browser.transitions import TransitionType
@@ -111,6 +112,21 @@ def _like_substring(term: str) -> str:
     return "%" + _like_escape(term) + "%"
 
 
+def _register_functions(conn: sqlite3.Connection) -> sqlite3.Connection:
+    """Register the SQL functions the ranked-scan statement calls.
+
+    ``math_log`` and ``math_log1p`` are Python's own :func:`math.log`
+    and :func:`math.log1p`, so a score computed in SQL is bit-identical
+    to the same formula in Python, and no SQLite build needs its
+    optional math functions (where present, ``ln(1 + v)`` differs from
+    ``log1p(v)`` in the last bit for about 1% of integers).  Run on
+    every connection as it is opened: registration is per connection.
+    """
+    conn.create_function("math_log", 1, math.log, deterministic=True)
+    conn.create_function("math_log1p", 1, math.log1p, deterministic=True)
+    return conn
+
+
 #: ``RETURNING`` needs SQLite >= 3.35 (2021-03); older builds take the
 #: select-back path in :meth:`ProvenanceStore.append_node`.
 _HAS_RETURNING = sqlite3.sqlite_version_info >= (3, 35, 0)
@@ -140,8 +156,8 @@ class ProvenanceStore:
         # (lazily, via the service's StorePool) and then owned by a
         # per-shard flush worker.  Cross-thread discipline is enforced
         # by this class instead — see :meth:`exclusive` and ``conn``.
-        self._conn: sqlite3.Connection | None = sqlite3.connect(
-            path, check_same_thread=False
+        self._conn: sqlite3.Connection | None = _register_functions(
+            sqlite3.connect(path, check_same_thread=False)
         )
         self._lock = threading.RLock()
         #: The process that opened this store owns its connections.  A
@@ -163,14 +179,14 @@ class ProvenanceStore:
         self._node_ts: dict[str, int] = {}
         self._pages: dict[str, tuple[int, str]] = {}  # url -> (page_id, title)
         self._tids: dict[str, int] = {}  # interned term -> tid
-        #: Per-call counts of the ranked-search read helpers, booked
-        #: into the optional service-layer metrics sink (duck-typed:
-        #: anything with ``.counter(name, label_name=...)`` — the core
-        #: layer must not import the service package) as
+        #: Per-call counts of the ranked-search reads, booked into the
+        #: optional service-layer metrics sink (duck-typed: anything
+        #: with ``.counter(name, label_name=...)`` — the core layer
+        #: must not import the service package) as
         #: ``store.read_ops{op=...}``.  The paged-search tests and bench
         #: read them to prove that serving page N+1 issues a per-shard
         #: *continuation* — snippet fetches only — rather than
-        #: re-running the scoring SELECTs of a full re-rank.
+        #: re-running the scoring statement of a full re-rank.
         self._read_ops_metric = (
             metrics.counter("store.read_ops", label_name="op")  # type: ignore[attr-defined]
             if metrics is not None
@@ -316,7 +332,9 @@ class ProvenanceStore:
         with self._read_lock:
             cached = self._read_conns.get(ident)
         if cached is None:
-            cached = sqlite3.connect(self.path, check_same_thread=False)
+            cached = _register_functions(
+                sqlite3.connect(self.path, check_same_thread=False)
+            )
             cached.execute("PRAGMA query_only=ON")
             with self._read_lock:
                 if self._conn is None:  # closed while we were connecting
@@ -1093,75 +1111,6 @@ class ProvenanceStore:
                 out[term] = [(row[0], row[1]) for row in rows]
         return out
 
-    def index_doc_lengths(self, node_ids: Iterable[str]) -> dict[str, int]:
-        """Indexed token counts for *node_ids* (BM25 length normalization)."""
-        self._count_read("index_doc_lengths")
-        out: dict[str, int] = {}
-        with self._read_context() as conn:
-            for chunk in _chunked(list(node_ids)):
-                placeholders = ",".join("?" * len(chunk))
-                for node_id, length in conn.execute(
-                    f"SELECT n.id, d.length FROM prov_index_docs AS d"
-                    f" JOIN prov_nodes AS n ON n.nid = d.nid"
-                    f" WHERE n.id IN ({placeholders})",
-                    chunk,
-                ):
-                    out[node_id] = length
-        return out
-
-    def nodes_brief(
-        self, node_ids: Iterable[str]
-    ) -> dict[str, tuple[int, int | None]]:
-        """``{id: (timestamp_us, page_id)}`` — the ranking-blend facts."""
-        self._count_read("nodes_brief")
-        out: dict[str, tuple[int, int | None]] = {}
-        with self._read_context() as conn:
-            for chunk in _chunked(list(node_ids)):
-                placeholders = ",".join("?" * len(chunk))
-                for node_id, when, page_id in conn.execute(
-                    f"SELECT id, timestamp_us, page_id FROM prov_nodes"
-                    f" WHERE id IN ({placeholders})",
-                    chunk,
-                ):
-                    out[node_id] = (when, page_id)
-        return out
-
-    def tenant_page_visits(
-        self, pairs: Iterable[tuple[int, str]]
-    ) -> dict[tuple[int, str], int]:
-        """``{(page_id, id_prefix): count}`` — per-tenant page popularity.
-
-        The raw frecency signal: how many of *that tenant's* nodes
-        reference the page.  Counts drive from the ``prov_nodes_page``
-        index and only filter on the tenant's ``id`` range: the nodes on
-        a page chunk are far fewer than a large tenant's whole range, so
-        the page index must stay the driver (the plan-guard test checks
-        it).  Pairs are grouped by tenant prefix and counted in chunked
-        ``GROUP BY page_id`` passes — the paged-search scan blends
-        *every* candidate, so per-pair point SELECTs would turn a
-        broad query's first page into O(matches) SQL round-trips.
-        """
-        self._count_read("tenant_page_visits")
-        out: dict[tuple[int, str], int] = {}
-        by_prefix: dict[str, list[int]] = {}
-        for page_id, prefix in dict.fromkeys(pairs):
-            out[(page_id, prefix)] = 0
-            by_prefix.setdefault(prefix, []).append(page_id)
-        with self._read_context() as conn:
-            for prefix, page_ids in by_prefix.items():
-                predicate, bounds = _id_range("id", prefix)
-                for chunk in _chunked(page_ids):
-                    placeholders = ",".join("?" * len(chunk))
-                    for page_id, count in conn.execute(
-                        f"SELECT page_id, COUNT(*) FROM prov_nodes"
-                        f" WHERE page_id IN ({placeholders})"
-                        f" AND {predicate}"
-                        f" GROUP BY page_id",
-                        (*chunk, *bounds),
-                    ):
-                        out[(page_id, prefix)] = count
-        return out
-
     def node_texts(
         self, node_ids: Iterable[str]
     ) -> dict[str, tuple[str | None, str | None]]:
@@ -1240,6 +1189,39 @@ class ProvenanceStore:
                     bounds,
                 ).fetchone()
         return row[0] or 0
+
+    def ranking_aggregates(
+        self, id_prefix: str | None = None
+    ) -> tuple[int, int, int]:
+        """``(documents, total indexed length, newest timestamp_us)`` —
+        the three corpus aggregates a ranked scan blends against.
+
+        With *id_prefix*, one tenant's (:meth:`index_stats_for_prefix`
+        and :meth:`max_node_timestamp`); without, the shard's.  None of
+        them depends on the query, so the service reads a tenant's once
+        per cache lifetime; the ``ranking_aggregates`` read-op count
+        shows how often it had to.
+        """
+        self._count_read("ranking_aggregates")
+        if id_prefix is None:
+            docs, length, _state = self.index_stats()
+        else:
+            docs, length = self.index_stats_for_prefix(id_prefix)
+        return docs, length, self.max_node_timestamp(id_prefix)
+
+    def read_rows(
+        self, op: str, sql: str, params: Sequence = ()
+    ) -> list[tuple]:
+        """Every row of one read-only statement built above the store,
+        booked as ``store.read_ops{op=op}``.
+
+        Runs where the store's own reads run (see :meth:`_read_context`),
+        so the ranked scan of :mod:`repro.service.search` may overlap a
+        flush worker's transaction.
+        """
+        self._count_read(op)
+        with self._read_context() as conn:
+            return conn.execute(sql, params).fetchall()
 
     # -- retention surgery (per-tenant delete paths) ------------------------------------
 

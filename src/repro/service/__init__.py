@@ -88,7 +88,6 @@ from repro.service.search import (
     SearchHit,
     SearchPage,
     SnippetParams,
-    SqlIndexView,
     attach_snippets,
     decode_cursor,
     encode_cursor,
@@ -167,7 +166,6 @@ __all__ = [
     "ShardWorkerPool",
     "SnippetParams",
     "Span",
-    "SqlIndexView",
     "StorePool",
     "TenantHealth",
     "TokenBucket",

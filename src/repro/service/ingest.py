@@ -1192,10 +1192,11 @@ class IngestPipeline:
     def _settle_submit(
         self, seq: int, dispatch_shard: int | None, serial_flush: bool
     ) -> None:
-        """Pay the journal I/O and trigger the decided drain.
+        """Pay the journal I/O, trigger the decided drain, and wait out
+        the backlog.
 
-        Inside a commit scope both are owed to the scope's next commit
-        instead (see :meth:`_commit_scope`).
+        Inside a commit scope all three are owed to the scope's next
+        commit instead (see :meth:`_commit_scope`).
         """
         commit = self._scope.commit
         if commit is not None:
@@ -1214,9 +1215,10 @@ class IngestPipeline:
         self.journal.sync(seq)
         if dispatch_shard is not None:
             with self._lock:
-                self._dispatch_locked(dispatch_shard)
+                self._dispatch_locked(dispatch_shard, deferrable=True)
         if serial_flush:
             self.flush()
+        self._await_backlog()
 
     @contextmanager
     def _commit_scope(self):
@@ -1255,7 +1257,7 @@ class IngestPipeline:
             with self._lock:
                 for shard in sorted(commit.shards):
                     if len(self._buffers.get(shard, ())) >= self.batch_size:
-                        self._dispatch_locked(shard)
+                        self._dispatch_locked(shard, deferrable=True)
         if commit.serial_flush:
             self.flush()
         self._await_backlog()
@@ -1350,7 +1352,7 @@ class IngestPipeline:
             )
         return self._pool_workers
 
-    def _dispatch_locked(self, shard: int) -> None:
+    def _dispatch_locked(self, shard: int, *, deferrable: bool = False) -> None:
         workers = self._ensure_workers_locked()
         if workers.poisoned(shard):
             # Batches sent to a poisoned shard would only be diverted
@@ -1358,6 +1360,11 @@ class IngestPipeline:
             # costs the same memory and keeps them visible.  The next
             # barrier on this shard drains the failure, requeues, and
             # surfaces the error; flush() then force-dispatches.
+            return
+        if deferrable and workers.holding(shard):
+            # A barrier waits on the shard: a batch no caller waits on
+            # stays buffered till the next submit or drain, else writers
+            # that outpace apply could keep the shard from ever settling.
             return
         batch = self._take_durable_locked(shard)
         if not batch:
@@ -1488,7 +1495,7 @@ class IngestPipeline:
             return
         with self._lock:
             for target in sorted(self._buffers):
-                self._dispatch_locked(target)
+                self._dispatch_locked(target, deferrable=target != shard)
             workers = self._pool_workers
         if workers is None:
             return

@@ -31,7 +31,7 @@ shard's continuation watermark.
 
 Concurrency contract: the worker pool is driven by one pipeline thread
 at a time (the ingest pipeline serializes dispatch/barrier under its
-own lock), while any number of request writers may park in
+own lock), while any number of writers may park in
 :meth:`ShardWorkerPool.wait_while` (the pipeline's apply-backlog flow
 control) outside that lock; :func:`scatter_gather` tasks run on
 arbitrary pool threads concurrently with flush workers, so they must
@@ -85,6 +85,7 @@ class ShardWorkerPool:
         self._outstanding = 0
         self._outstanding_by_shard: dict[int, int] = {}
         self._failures: dict[int, ShardFailure] = {}
+        self._holds: dict[int | None, int] = {}  # waiting barriers
         self._closed = False
 
     @property
@@ -167,15 +168,24 @@ class ShardWorkerPool:
         """Block until every dispatched batch (or *shard*'s) is settled.
 
         Settled means applied or parked in a failure; inspect
-        :meth:`drain_failures` afterwards.
+        :meth:`drain_failures` afterwards.  It holds its target while
+        it waits (see :meth:`holding`).
         """
         with self._done:
-            if shard is None:
-                self._done.wait_for(lambda: self._outstanding == 0)
-            else:
-                self._done.wait_for(
-                    lambda: self._outstanding_by_shard.get(shard, 0) == 0
-                )
+            self._holds[shard] = self._holds.get(shard, 0) + 1
+            try:
+                self._done.wait_for(lambda: not (
+                    self._outstanding if shard is None
+                    else self._outstanding_by_shard.get(shard, 0)
+                ))
+            finally:
+                self._holds[shard] -= 1
+
+    def holding(self, shard: int) -> bool:
+        """True while a barrier on *shard* (or on every shard) waits;
+        a batch nobody waits on should stay buffered meanwhile."""
+        with self._lock:
+            return bool(self._holds.get(None) or self._holds.get(shard))
 
     def wait_while(self, busy: Callable[[], bool]) -> bool:
         """Block while *busy()* holds and some dispatched batch is

@@ -10,20 +10,17 @@ UI nicety.  Each shard keeps an incremental SQLite inverted index
 (:mod:`repro.service.indexer`); a ranked query:
 
 1. tokenizes with the shared :mod:`repro.ir.tokenize` analyzer,
-2. loads the query terms' posting lists from the shard
-   (:class:`SqlIndexView` duck-types
-   :class:`~repro.ir.index.InvertedIndex`, so
-   :func:`repro.ir.scoring.bm25_scores` runs unchanged on SQL-backed
-   postings),
-3. blends BM25 with a recency weight (the Firefox frecency buckets of
+2. ranks every candidate on the shard in one SQLite statement
+   (:func:`shard_ranked_scan`): BM25 over the query terms' postings,
+   blended with a recency weight (the Firefox frecency buckets of
    :mod:`repro.browser.frecency`) and a per-tenant frecency signal
    (how often *that tenant* visited the hit's page) into one total
-   order per shard (:func:`shard_ranked_scan`),
-4. slices the shard's next window strictly *below* a ``(score, nid)``
+   order per shard,
+3. slices the shard's next window strictly *below* a ``(score, nid)``
    watermark (:func:`slice_after`) — the score-bounded continuation
    that lets a cursor resume where the previous page stopped instead
    of re-ranking from the top, and
-5. decorates each emitted hit with a matched-term snippet
+4. decorates each emitted hit with a matched-term snippet
    (:func:`extract_snippet` over the store's positions-aware
    :meth:`~repro.core.store.ProvenanceStore.node_texts` fetch), so the
    caller sees *why* the hit matched.
@@ -52,19 +49,17 @@ import base64
 import binascii
 import hashlib
 import json
-import math
 import re
 import struct
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.browser.frecency import recency_weight
+from repro.browser.frecency import DEFAULT_BUCKET_WEIGHT, RECENCY_BUCKETS
 from repro.clock import MICROSECONDS_PER_DAY
-from repro.core.store import ProvenanceStore
+from repro.core.store import ProvenanceStore, _id_range
 from repro.errors import CursorError
-from repro.ir.index import Posting, idf_from_counts
-from repro.ir.scoring import Bm25Params, bm25_scores
+from repro.ir.scoring import Bm25Params
 from repro.ir.tokenize import tokenize_filtered
 from repro.service.events import USER_SEP
 
@@ -222,80 +217,6 @@ def query_terms(text: str) -> list[str]:
     return tokenize_filtered(text)
 
 
-class SqlIndexView:
-    """An :class:`~repro.ir.index.InvertedIndex` facade over one shard's
-    SQL posting tables, prefetched for a single query.
-
-    Only what :func:`repro.ir.scoring.bm25_scores` consumes: postings,
-    idf, document lengths, and the average document length.  Document
-    frequency is each posting list's length; corpus aggregates come
-    from the shard's maintained counters, so building the view costs
-    one SELECT per query term plus one per candidate-id chunk.
-    """
-
-    def __init__(
-        self,
-        postings: dict[str, list[tuple[str, int]]],
-        doc_lengths: dict[str, int],
-        doc_count: int,
-        total_length: int,
-    ) -> None:
-        self._postings = postings
-        self._doc_lengths = doc_lengths
-        self._doc_count = doc_count
-        self._total_length = total_length
-
-    @classmethod
-    def for_query(
-        cls,
-        store: ProvenanceStore,
-        terms: list[str],
-        *,
-        id_prefix: str | None = None,
-    ) -> "SqlIndexView":
-        postings = store.term_postings(terms, id_prefix=id_prefix)
-        candidates = {
-            doc_id for rows in postings.values() for doc_id, _tf in rows
-        }
-        lengths = store.index_doc_lengths(candidates) if candidates else {}
-        if id_prefix is not None:
-            # Tenant-scoped search normalizes against the tenant's own
-            # corpus: df, N, and avgdl all come from their documents,
-            # so co-tenants' ingest can never reorder a user's results.
-            doc_count, total_length = store.index_stats_for_prefix(
-                id_prefix
-            )
-        else:
-            doc_count, total_length, _state = store.index_stats()
-        return cls(postings, lengths, doc_count, total_length)
-
-    def postings(self, term: str) -> list[Posting]:
-        return [
-            Posting(doc_id, tf)
-            for doc_id, tf in self._postings.get(term, ())
-        ]
-
-    def idf(self, term: str) -> float:
-        return idf_from_counts(
-            self._doc_count, len(self._postings.get(term, ()))
-        )
-
-    def doc_length(self, doc_id: str) -> int:
-        return self._doc_lengths.get(doc_id, 0)
-
-    @property
-    def average_doc_length(self) -> float:
-        if not self._doc_count:
-            return 0.0
-        return self._total_length / self._doc_count
-
-
-def tenant_prefix(stored_id: str) -> str:
-    """The owning tenant's id prefix (``user::``) of a stored node id."""
-    user_id, _sep, _raw = stored_id.partition(USER_SEP)
-    return user_id + USER_SEP
-
-
 def shard_ranked_scan(
     store: ProvenanceStore,
     terms: list[str],
@@ -303,6 +224,7 @@ def shard_ranked_scan(
     params: RankingParams = DEFAULT_RANKING,
     id_prefix: str | None = None,
     now_us: int | None = None,
+    aggregates: tuple[int, int, int] | None = None,
 ) -> list[tuple[str, float]]:
     """One shard's *complete* blended ranking: ``[(stored_id, score)]``
     best-first, every candidate included.
@@ -310,50 +232,110 @@ def shard_ranked_scan(
     This is the unit of work a cursor amortizes: computed once per
     query (and cached by the service under epoch admission), then every
     page is a :func:`slice_after` window of it — the per-shard
-    continuation never re-runs the scoring SELECTs.
+    continuation never re-runs the scoring statement.
 
-    *now_us* anchors the recency buckets; ``None`` anchors at the
-    newest node in scope — the tenant's own when *id_prefix* is given
-    (a co-tenant's ingest must not age a user's hits), the shard's
-    otherwise — which keeps the computation a pure function of shard
+    BM25 normalizes against *aggregates*: ``(documents, total indexed
+    length, newest timestamp_us)`` in scope, as
+    :meth:`~repro.core.store.ProvenanceStore.ranking_aggregates`
+    returns them (read here when ``None``).  With *id_prefix* they are
+    the tenant's own, so a co-tenant's ingest can never reorder a
+    user's results, and a page's visits count the scope's nodes;
+    without, each hit's visits count its own tenant's.  *now_us*
+    anchors the recency buckets; ``None`` anchors at the newest node
+    in scope, which keeps the computation a pure function of shard
     state (the cross-mode determinism contract).  Ties break on stored
     id, so the cross-shard heap-merge is total-ordered and page
     boundaries are stable.
+
+    One SQLite statement computes the order, as CTEs: the distinct
+    terms' postings in scope; df and idf per term; each posting's BM25
+    contribution; a per-document sum with one column per distinct
+    term, added in query order (the additions
+    :func:`repro.ir.scoring.bm25_scores` makes, a repeated term once
+    per occurrence); the node facts; the page visits, driven from
+    ``prov_nodes_page``; then the blend.  Its logarithms are the
+    store's registered ``math_log``/``math_log1p``, called once per
+    distinct term and once per distinct candidate page, so every score
+    is bit-identical to the same arithmetic in Python.
     """
     if not terms:
         return []
-    view = SqlIndexView.for_query(store, terms, id_prefix=id_prefix)
-    scored = bm25_scores(view, terms, params.bm25)
-    if not scored:
-        return []
-    brief = store.nodes_brief([doc.doc_id for doc in scored])
-    if now_us is None:
-        now_us = store.max_node_timestamp(id_prefix)
-    visit_pairs = [
-        (page_id, tenant_prefix(doc.doc_id))
-        for doc in scored
-        for _ts, page_id in (brief.get(doc.doc_id, (0, None)),)
-        if page_id is not None
+    if aggregates is None:
+        aggregates = store.ranking_aggregates(id_prefix)
+    doc_count, total_length, newest_us = aggregates
+    average_length = (total_length / doc_count if doc_count else 0.0) or 1.0
+    distinct = list(dict.fromkeys(terms))
+    slot = {term: index for index, term in enumerate(distinct)}
+    if id_prefix is None:
+        postings_scope, postings_bounds = "", ()
+        # Each hit's tenant prefix, as ``partition(USER_SEP)`` cuts it.
+        prefix, prefix_args = (
+            f"CASE WHEN instr(n.id, '{USER_SEP}') > 0"
+            f" THEN substr(n.id, 1, instr(n.id, '{USER_SEP}')"
+            f" + {len(USER_SEP) - 1}) ELSE n.id || '{USER_SEP}' END"
+        ), ()
+        visits_scope = "substr(m.id, 1, length(pages.prefix)) = pages.prefix"
+        visits_bounds = ()
+    else:
+        postings_scope, postings_bounds = _id_range("n.id", id_prefix)
+        postings_scope = " WHERE " + postings_scope
+        prefix, prefix_args = "?", (id_prefix,)
+        visits_scope, visits_bounds = _id_range("m.id", id_prefix)
+    bm25 = params.bm25
+    buckets = " ".join(
+        f"WHEN f.age_days <= {cutoff} THEN {weight}"
+        for cutoff, weight in RECENCY_BUCKETS
+    )
+    parts: list[tuple[str, tuple]] = [
+        ("WITH query (k, term) AS (VALUES "
+         + ", ".join("(?, ?)" for _ in distinct) + "),",
+         tuple(value for pair in enumerate(distinct) for value in pair)),
+        (" postings AS (SELECT query.k, p.nid, p.tf FROM query"
+         " JOIN prov_terms AS t ON t.term = query.term"
+         " JOIN prov_postings AS p ON p.tid = t.tid"
+         " JOIN prov_nodes AS n ON n.nid = p.nid" + postings_scope + "),",
+         postings_bounds),
+        (" idf AS (SELECT k,"
+         " math_log(1.0 + (? - COUNT(*) + 0.5) / (COUNT(*) + 0.5)) AS idf"
+         " FROM postings GROUP BY k),",
+         (doc_count,)),
+        (" contributions AS (SELECT p.nid, p.k, idf.idf * (p.tf * (? + 1.0)"
+         " / (p.tf + ? * (1.0 - ? + ? * (COALESCE(d.length, 0) / ?)))) AS c"
+         " FROM postings AS p JOIN idf ON idf.k = p.k"
+         " LEFT JOIN prov_index_docs AS d ON d.nid = p.nid),",
+         (bm25.k1, bm25.k1, bm25.b, bm25.b, average_length)),
+        (" documents AS (SELECT nid, "
+         + ", ".join(f"MAX(CASE k WHEN {i} THEN c END) AS c{i}"
+                     for i in range(len(distinct)))
+         + " FROM contributions GROUP BY nid),",
+         ()),
+        (" facts AS (SELECT n.id, n.page_id, " + prefix + " AS prefix,",
+         prefix_args),
+        (" (? - n.timestamp_us) / ? AS age_days, "
+         + " + ".join(f"COALESCE(c{slot[term]}, 0.0)" for term in terms)
+         + " AS bm25 FROM documents"
+         " JOIN prov_nodes AS n ON n.nid = documents.nid),",
+         (newest_us if now_us is None else now_us,
+          float(MICROSECONDS_PER_DAY))),
+        (" visits AS (SELECT pages.page_id, pages.prefix,"
+         " math_log1p(COUNT(*)) AS boost FROM (SELECT DISTINCT page_id,"
+         " prefix FROM facts WHERE page_id IS NOT NULL) AS pages"
+         " JOIN prov_nodes AS m ON m.page_id = pages.page_id"
+         " WHERE " + visits_scope + " GROUP BY pages.page_id, pages.prefix)",
+         visits_bounds),
+        (" SELECT f.id, f.bm25 * (1.0 + ? * (CASE " + buckets
+         + f" ELSE {DEFAULT_BUCKET_WEIGHT} END / 100.0)"
+         " + ? * COALESCE(v.boost, 0.0)) AS score"
+         " FROM facts AS f LEFT JOIN visits AS v"
+         " ON v.page_id = f.page_id AND v.prefix = f.prefix"
+         " ORDER BY score DESC, f.id",
+         (params.recency_weight, params.frecency_weight)),
     ]
-    visits = store.tenant_page_visits(visit_pairs) if visit_pairs else {}
-    blended: list[tuple[str, float]] = []
-    for doc in scored:
-        ts, page_id = brief.get(doc.doc_id, (0, None))
-        age_days = max(0.0, (now_us - ts) / MICROSECONDS_PER_DAY)
-        recency = recency_weight(age_days) / 100.0
-        tenant_visits = 0
-        if page_id is not None:
-            tenant_visits = visits.get(
-                (page_id, tenant_prefix(doc.doc_id)), 0
-            )
-        score = doc.score * (
-            1.0
-            + params.recency_weight * recency
-            + params.frecency_weight * math.log1p(tenant_visits)
-        )
-        blended.append((doc.doc_id, score))
-    blended.sort(key=lambda row: (-row[1], row[0]))
-    return blended
+    return store.read_rows(
+        "ranked_scan",
+        "".join(text for text, _args in parts),
+        [arg for _text, args in parts for arg in args],
+    )
 
 
 def slice_after(

@@ -361,6 +361,7 @@ class ProvenanceService:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self._lock_fd: int | None = None
+        self._closed = False
         self._fanout: ThreadPoolExecutor | None = None
         self._fanout_lock = threading.Lock()
         self._acquire_lock()
@@ -1011,12 +1012,25 @@ class ProvenanceService:
             nonlocal scanned
             scanned = True
             ensure_index(store)
+            aggregates = None
+            if id_prefix is not None:
+                # A tenant's BM25 aggregates change only with its own
+                # writes (which drop its scope) and retention (which
+                # drops it and rolls the epoch), so they live as long
+                # as the scans they feed.  The cross-tenant ones are
+                # meta lookups and an indexed MAX: read per scan.
+                aggregates = self.cache.get_or_compute(
+                    scope, "ranking_aggregates", shard,
+                    lambda: store.ranking_aggregates(id_prefix),
+                    epoch_bound=True,
+                )
             with self.tracer.trace("search.scan", shard=shard):
                 return shard_ranked_scan(
                     store,
                     list(terms),
                     params=self.ranking,
                     id_prefix=id_prefix,
+                    aggregates=aggregates,
                 )
 
         scan = self.cache.get_or_compute(
@@ -1225,7 +1239,11 @@ class ProvenanceService:
 
         Handles are released even when the final flush raises; the
         journal keeps the unflushed events for the next open's replay.
+        Closing a closed service does nothing.
         """
+        if self._closed:
+            return
+        self._closed = True
         try:
             if flush:
                 self.ingest.flush()

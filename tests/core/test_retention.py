@@ -87,6 +87,38 @@ class TestExpireBefore:
         new_graph, _ = expire_before(lineage_graph, 50)
         assert new_graph.is_acyclic()
 
+    def test_lineage_cycle_through_one_expired_node(self):
+        """kept -> old -> kept: walking up from the kept child through
+        the expired node meets the child again, which is no bridge."""
+        graph = ProvenanceGraph(enforce_dag=False)
+        graph.add_node(visit("old", 10, "http://www.a.com/"))
+        graph.add_node(visit("kept", 90, "http://www.b.com/"))
+        graph.add_edge(EdgeKind.LINK, "old", "kept", timestamp_us=90)
+        graph.add_edge(EdgeKind.LINK, "kept", "old", timestamp_us=10)
+        new_graph, report = expire_before(graph, 50)
+        assert list(new_graph.node_ids()) == ["kept"]
+        assert new_graph.edge_count == 0
+        assert report.nodes_removed == 1
+        assert report.edges_removed == 2
+        assert report.bridge_edges_added == 0
+
+    def test_lineage_cycle_through_two_expired_nodes(self):
+        """root -> old1 -> old2 -> kept -> old1: the kept child still
+        gets its bridge from the kept root, and none from itself."""
+        graph = ProvenanceGraph(enforce_dag=False)
+        graph.add_node(visit("root", 80, "http://www.r.com/"))
+        graph.add_node(visit("old1", 10, "http://www.a.com/"))
+        graph.add_node(visit("old2", 20, "http://www.b.com/"))
+        graph.add_node(visit("kept", 90, "http://www.c.com/"))
+        graph.add_edge(EdgeKind.LINK, "root", "old1", timestamp_us=10)
+        graph.add_edge(EdgeKind.LINK, "old1", "old2", timestamp_us=20)
+        graph.add_edge(EdgeKind.LINK, "old2", "kept", timestamp_us=90)
+        graph.add_edge(EdgeKind.LINK, "kept", "old1", timestamp_us=10)
+        new_graph, report = expire_before(graph, 50)
+        assert sorted(new_graph.node_ids()) == ["kept", "root"]
+        assert [(e.src, e.dst) for e in new_graph.edges()] == [("root", "kept")]
+        assert report.bridge_edges_added == 1
+
 
 class TestForgetSite:
     @pytest.fixture()

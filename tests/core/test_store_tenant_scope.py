@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core import store as store_module
 from repro.core.store import _id_range, _prefix_successor
 from repro.service import ProvenanceService
+from repro.service import search as search_module
 from repro.service.workload import MultiUserParams, synthesize_user_events
 
 #: Characters that stress the bounds: LIKE metacharacters, the tenant
@@ -141,9 +142,10 @@ def _graph_rows(graph) -> tuple[list, list]:
 SCOPED_READS = {
     "index_stats_for_prefix": lambda s, p, t, g: s.index_stats_for_prefix(p),
     "max_node_timestamp": lambda s, p, t, g: s.max_node_timestamp(p),
+    "ranking_aggregates": lambda s, p, t, g: s.ranking_aggregates(p),
     "term_postings": lambda s, p, t, g: s.term_postings(t, id_prefix=p),
-    "tenant_page_visits": lambda s, p, t, g: s.tenant_page_visits(
-        [(page_id, p) for page_id in g]
+    "ranked_scan": lambda s, p, t, g: search_module.shard_ranked_scan(
+        s, t, id_prefix=p
     ),
     "load_subgraph": lambda s, p, t, g: _graph_rows(s.load_subgraph(p)),
     "counts_for_id_prefix": lambda s, p, t, g: s.counts_for_id_prefix(p),
@@ -173,6 +175,7 @@ class TestRangeMatchesLike:
             for name, read in SCOPED_READS.items()
         }
         monkeypatch.setattr(store_module, "_id_range", _like_range)
+        monkeypatch.setattr(search_module, "_id_range", _like_range)
         liked = {
             name: read(shard, prefix, terms, page_ids)
             for name, read in SCOPED_READS.items()
@@ -182,11 +185,12 @@ class TestRangeMatchesLike:
         assert nodes > 0 and edges > 0
         assert all(ranged["term_postings"].values())
         assert ranged["sql_text_search_scored"]
-        assert any(ranged["tenant_page_visits"].values())
+        assert ranged["ranked_scan"]
+        assert ranged["ranking_aggregates"][0] > 0
 
 
 def _plans(store, call) -> list[tuple[str, list[str]]]:
-    """``[(sql, plan details)]`` for every SELECT *call* issues."""
+    """``[(sql, plan details)]`` for every query *call* issues."""
     statements: list[str] = []
     store.conn.set_trace_callback(statements.append)
     try:
@@ -196,7 +200,7 @@ def _plans(store, call) -> list[tuple[str, list[str]]]:
     return [
         (sql, [row[3] for row in store.conn.execute("EXPLAIN QUERY PLAN " + sql)])
         for sql in statements
-        if sql.lstrip().upper().startswith("SELECT")
+        if sql.lstrip().upper().startswith(("SELECT", "WITH"))
     ]
 
 
@@ -242,6 +246,11 @@ class TestPlanGuard:
             ]
             assert not unkeyed, f"{method}: {unkeyed} in {sql}"
 
-    def test_tenant_page_visits_drives_from_the_page_index(self, shard):
-        for _sql, details in self.plans(shard, "tenant_page_visits"):
-            assert any("INDEX prov_nodes_page" in detail for detail in details), details
+    def test_ranked_scan_visits_drive_from_the_page_index(self, shard):
+        """The visits CTE reaches a tenant's nodes on each candidate
+        page through ``prov_nodes_page``: the nodes on a page are far
+        fewer than a large tenant's whole ``id`` range."""
+        plans = self.plans(shard, "ranked_scan")
+        (sql, details), = [plan for plan in plans if "visits AS" in plan[0]]
+        assert " AS m ON m.page_id = pages.page_id" in sql
+        assert "SEARCH m USING INDEX prov_nodes_page (page_id=?)" in details, details

@@ -666,3 +666,96 @@ class TestFlowControl:
             assert waits["count"] >= 1
             service.flush()
             assert service.stats("dave").nodes == 160
+
+    def test_single_event_writers_are_held_at_the_mark(
+        self, tmp_path, monkeypatch
+    ):
+        """``submit`` outside a request waits out the backlog too: each
+        writer can overshoot the mark by its own one event, no more."""
+        real_apply = ingest_module.apply_event_batch
+
+        def slow_apply(store, batch, **kwargs):
+            time.sleep(0.002)
+            return real_apply(store, batch, **kwargs)
+
+        monkeypatch.setattr(ingest_module, "apply_event_batch", slow_apply)
+        pool = StorePool(str(tmp_path / "shards"), shards=2)
+        journal = IngestJournal(str(tmp_path / "j.log"))
+        pipeline = IngestPipeline(pool, journal, batch_size=8, workers=2)
+        mark = 2 * 8 * 2
+        users = ["alice", "bob"]
+        peak = [0]
+
+        def write(user):
+            for i in range(300):
+                pipeline.submit(node_event(user, f"n{i}", i + 1))
+                peak[0] = max(peak[0], pipeline.pending())
+
+        writers = [threading.Thread(target=write, args=(u,)) for u in users]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in writers)
+        assert peak[0] <= mark + len(users)
+        pipeline.flush()
+        for user in users:
+            assert pool.store_for(user).counts_for_id_prefix(user + "::")[0] == 300
+        pipeline.close()
+        pool.close()
+
+    @pytest.mark.parametrize("drain", ["flush", "drain_for_read"])
+    def test_barrier_ends_while_writers_outpace_apply(
+        self, tmp_path, monkeypatch, drain
+    ):
+        """A barrier waits for the batches in flight when it began, not
+        for a shard that writers never let settle: while it waits, their
+        full batches stay buffered."""
+        real_apply = ingest_module.apply_event_batch
+
+        def slow_apply(store, batch, **kwargs):
+            time.sleep(0.002)
+            return real_apply(store, batch, **kwargs)
+
+        monkeypatch.setattr(ingest_module, "apply_event_batch", slow_apply)
+        pool = StorePool(str(tmp_path / "shards"), shards=2)
+        journal = IngestJournal(str(tmp_path / "j.log"))
+        pipeline = IngestPipeline(pool, journal, batch_size=8, workers=2)
+        users = ["alice", "bob"]
+        stop, drained = threading.Event(), threading.Event()
+        written = {user: 0 for user in users}
+
+        def write(user):
+            while not stop.is_set():
+                written[user] += 1
+                pipeline.submit(node_event(user, f"n{written[user]}"))
+
+        def barrier():
+            for _ in range(5):
+                if drain == "flush":
+                    pipeline.flush()
+                else:
+                    pipeline.drain_for_read(pool.shard_of("alice"))
+            drained.set()
+
+        writers = [threading.Thread(target=write, args=(u,)) for u in users]
+        for thread in writers:
+            thread.start()
+        try:
+            while sum(written.values()) < 200:  # writers well under way
+                time.sleep(0.005)
+            threading.Thread(target=barrier, daemon=True).start()
+            assert drained.wait(20), "the barrier waited on the writers"
+        finally:
+            stop.set()
+            for thread in writers:
+                thread.join(60)
+        assert not any(thread.is_alive() for thread in writers)
+        assert drained.wait(60)
+        pipeline.flush()
+        assert pipeline.pending() == 0
+        for user in users:
+            stored = pool.store_for(user).counts_for_id_prefix(user + "::")[0]
+            assert stored == written[user]
+        pipeline.close()
+        pool.close()

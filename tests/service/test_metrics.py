@@ -195,10 +195,10 @@ class TestStoreReadOps:
         store = ProvenanceStore(str(tmp_path / "s.db"), metrics=registry)
         store.append_nodes([visit("a", 1, "hello")])
         store.commit()
-        store.nodes_brief(["a"])
+        store.ranking_aggregates()
         counters = registry.snapshot()["counters"]
         assert counters["store.read_ops"] == 1
-        assert counters["store.read_ops{op=nodes_brief}"] == 1
+        assert counters["store.read_ops{op=ranking_aggregates}"] == 1
         store.close()
 
 

@@ -230,10 +230,13 @@ class TestPagingService:
 
     def test_continuation_issues_no_scoring_sql(self, service):
         """Pages 2..N of a warm query are continuations: one snippet
-        fetch each, zero posting/brief/visit scans (the bench pins the
-        same property at 10k-doc scale via these counters)."""
+        fetch each, zero scoring statements or aggregate reads (the
+        bench pins the same property at 10k-doc scale via these
+        counters)."""
         first = service.ranked_search("wine cellar", user_id="alice", limit=5)
         before = read_ops(service)
+        assert before["ranked_scan"] >= 1
+        assert before["ranking_aggregates"] >= 1
         cursor = first.cursor
         fetched = 0
         while cursor is not None:
@@ -244,8 +247,7 @@ class TestPagingService:
             cursor = page.cursor
         after = read_ops(service)
         assert fetched >= 5
-        for op in ("term_postings", "index_doc_lengths", "nodes_brief",
-                   "tenant_page_visits"):
+        for op in ("ranked_scan", "ranking_aggregates"):
             assert after.get(op, 0) == before.get(op, 0), op
         assert after["node_texts"] - before.get("node_texts", 0) == fetched
 
@@ -408,12 +410,12 @@ class TestScanCacheBound:
             pages = drain_pages(svc, "wine", user_id="alice", limit=8)
             hits = {h.nid for p in pages for h in p}
             assert len(hits) == 25
-            before = read_ops(svc)["term_postings"]
+            before = read_ops(svc)["ranked_scan"]
             # A fresh limit misses the page cache; the scan must then
             # recompute, proving it was never admitted.
             svc.ranked_search("wine", user_id="alice", limit=7,
                               cursor=pages[0].cursor)
-            after = read_ops(svc)["term_postings"]
+            after = read_ops(svc)["ranked_scan"]
             assert after > before  # re-scored: the scan was not cached
         finally:
             svc.close()

@@ -369,6 +369,22 @@ class TestWorkersSpec:
 
 
 class TestFacade:
+    @pytest.mark.parametrize("flush", [True, False])
+    def test_second_close_does_nothing(self, tmp_path, flush):
+        root = str(tmp_path / "svc")
+        service = ProvenanceService(root, shards=1)
+        seed_user(service, "alice", "garden")
+        service.close(flush=flush)
+        service.close()
+        service.close(flush=False)
+        with ProvenanceService(root, shards=1) as reopened:
+            assert reopened.stats("alice").nodes == 3
+
+    def test_exit_after_explicit_close_does_nothing(self, tmp_path):
+        with ProvenanceService(str(tmp_path / "svc"), shards=1) as service:
+            seed_user(service, "alice", "garden")
+            service.close()
+
     def test_edge_ids_unique_across_users(self, service):
         service.record_node("alice", visit("a", 1))
         service.record_node("alice", visit("b", 2))
