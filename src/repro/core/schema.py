@@ -23,6 +23,8 @@ same normalization discipline Places uses — which is what makes the
   they occur on nearly every row.
 * ``prov_intervals`` records page-display intervals (the close events
   of section 3.2).
+* ``prov_terms``, ``prov_postings`` and ``prov_index_docs`` are the
+  relevance-search sidecar the service's ranked search reads.
 
 String node ids (``visit:000123``) remain the public API; ``nid`` is
 internal to the store.
@@ -32,6 +34,9 @@ from __future__ import annotations
 
 from repro.core.taxonomy import EdgeKind, NodeKind
 
+#: The one on-disk version this code reads.  There are no migrations:
+#: :class:`~repro.core.store.ProvenanceStore` refuses a store at any
+#: other version, before it writes a byte of it.
 SCHEMA_VERSION = 4
 
 #: Stable integer codes for node kinds (never reorder — on-disk data).
@@ -127,44 +132,43 @@ CREATE INDEX prov_intervals_open ON prov_intervals (opened_us, closed_us);
 -- be a re-delivery (journal crash replay in the commit-vs-checkpoint
 -- window).  The unique index turns those into upserts — exactly-once.
 CREATE UNIQUE INDEX prov_intervals_identity ON prov_intervals (nid, opened_us);
-"""
 
-#: The relevance-search sidecar (v4): a per-shard inverted index over
-#: node text (label + URL tokens), maintained incrementally inside the
-#: same transaction as the rows it indexes.  ``prov_terms`` interns
-#: terms once; ``prov_postings`` is the (term, document) matrix with
-#: raw term frequencies; ``prov_index_docs`` keeps per-document token
-#: counts for BM25 length normalization.  Document frequencies are
-#: *not* stored — a query loads each query term's posting list anyway,
-#: so df is its length, which keeps every index write idempotent under
-#: journal crash replay (no counters to double-increment).  Corpus
-#: aggregates (document count, total length) live in ``prov_meta`` and
-#: are maintained as deltas computed against the rows in the same
-#: transaction, which makes re-applying a committed batch a no-op.
-SEARCH_INDEX_SCHEMA = """
-CREATE TABLE IF NOT EXISTS prov_terms (
+-- The relevance-search sidecar: a per-shard inverted index over node
+-- text (label + URL tokens), maintained incrementally inside the same
+-- transaction as the rows it indexes.  prov_terms interns terms once;
+-- prov_postings is the (term, document) matrix with raw term
+-- frequencies; prov_index_docs keeps per-document token counts for
+-- BM25 length normalization.  Document frequencies are not stored: a
+-- query reads each query term's posting list anyway, so df is its
+-- length, which keeps every index write idempotent under journal crash
+-- replay (no counters to double-increment).  Corpus aggregates
+-- (document count, total length) live in prov_meta and are maintained
+-- as deltas computed against the rows in the same transaction, which
+-- makes re-applying a committed batch a no-op.
+CREATE TABLE prov_terms (
     tid INTEGER PRIMARY KEY,
     term TEXT UNIQUE NOT NULL
 );
 
-CREATE TABLE IF NOT EXISTS prov_postings (
+CREATE TABLE prov_postings (
     tid INTEGER NOT NULL REFERENCES prov_terms (tid),
     nid INTEGER NOT NULL REFERENCES prov_nodes (nid),
     tf INTEGER NOT NULL,
     PRIMARY KEY (tid, nid)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS prov_postings_doc ON prov_postings (nid);
+CREATE INDEX prov_postings_doc ON prov_postings (nid);
 
-CREATE TABLE IF NOT EXISTS prov_index_docs (
+CREATE TABLE prov_index_docs (
     nid INTEGER PRIMARY KEY REFERENCES prov_nodes (nid),
     length INTEGER NOT NULL
 );
 """
 
-PROVENANCE_SCHEMA = PROVENANCE_SCHEMA + SEARCH_INDEX_SCHEMA
-
 #: Recursive-CTE ancestor walk over integer nids; depth-bounded so
 #: cyclic inputs (edge-versioned graphs) terminate; UNION deduplicates.
+#: The start node leads the rows at depth 0 (no other row has depth 0),
+#: so an empty result means the start does not exist: one statement
+#: both checks the node and walks from it.
 ANCESTOR_QUERY = """
 WITH RECURSIVE start (nid) AS (
     SELECT nid FROM prov_nodes WHERE id = :start
@@ -181,7 +185,6 @@ walk (nid, depth) AS (
 SELECT n.id, MIN(walk.depth) AS depth
 FROM walk
 JOIN prov_nodes AS n ON n.nid = walk.nid
-WHERE walk.nid != (SELECT nid FROM start)
 GROUP BY n.id
 ORDER BY depth, n.id
 """
@@ -202,7 +205,6 @@ walk (nid, depth) AS (
 SELECT n.id, MIN(walk.depth) AS depth
 FROM walk
 JOIN prov_nodes AS n ON n.nid = walk.nid
-WHERE walk.nid != (SELECT nid FROM start)
 GROUP BY n.id
 ORDER BY depth, n.id
 """

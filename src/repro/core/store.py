@@ -42,7 +42,6 @@ from repro.core.schema import (
     NODE_KINDS_BY_ID,
     PROVENANCE_SCHEMA,
     SCHEMA_VERSION,
-    SEARCH_INDEX_SCHEMA,
 )
 from repro.core.taxonomy import EdgeKind, NodeKind
 from repro.errors import (
@@ -113,23 +112,24 @@ def _like_substring(term: str) -> str:
 
 
 def _register_functions(conn: sqlite3.Connection) -> sqlite3.Connection:
-    """Register the SQL functions the ranked-scan statement calls.
+    """Register the SQL functions the store's statements call.
 
     ``math_log`` and ``math_log1p`` are Python's own :func:`math.log`
     and :func:`math.log1p`, so a score computed in SQL is bit-identical
     to the same formula in Python, and no SQLite build needs its
     optional math functions (where present, ``ln(1 + v)`` differs from
-    ``log1p(v)`` in the last bit for about 1% of integers).  Run on
-    every connection as it is opened: registration is per connection.
+    ``log1p(v)`` in the last bit for about 1% of integers).
+    ``str_lower`` is :meth:`str.lower`, the fold the LIKE search applies
+    to both the term and the text: SQLite's own ``lower()`` folds ASCII
+    only, so "Über" could never match a term Python had folded to
+    "über".  Run on every connection as it is opened: registration is
+    per connection.
     """
     conn.create_function("math_log", 1, math.log, deterministic=True)
     conn.create_function("math_log1p", 1, math.log1p, deterministic=True)
+    conn.create_function("str_lower", 1, str.lower, deterministic=True)
     return conn
 
-
-#: ``RETURNING`` needs SQLite >= 3.35 (2021-03); older builds take the
-#: select-back path in :meth:`ProvenanceStore.append_node`.
-_HAS_RETURNING = sqlite3.sqlite_version_info >= (3, 35, 0)
 
 #: Node upsert that KEEPS the existing rowid on id collisions.  ``INSERT
 #: OR REPLACE`` would delete + re-insert under a fresh nid, silently
@@ -192,6 +192,21 @@ class ProvenanceStore:
             if metrics is not None
             else None
         )
+        found = None  # a new database: no version yet
+        if self._conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type='table' AND name='prov_meta'"
+        ).fetchone():
+            (value,) = self._conn.execute(
+                "SELECT value FROM prov_meta WHERE key = 'schema_version'"
+            ).fetchone()
+            found = int(value)
+        if found is not None and found != SCHEMA_VERSION:
+            # Refused before the pragmas below write anything (switching
+            # a file to WAL rewrites its header): a store this code
+            # cannot read is left byte for byte as it was found.
+            self._conn.close()
+            self._conn = None
+            raise SchemaVersionError(found, SCHEMA_VERSION)
         if path != ":memory:":
             # Pragmatic durability/throughput trade for on-disk stores:
             # WAL lets readers overlap the writer, NORMAL fsyncs only at
@@ -199,78 +214,13 @@ class ProvenanceStore:
             # set only for real files to keep test behavior identical.
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
-        existing = self._conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' AND name='prov_meta'"
-        ).fetchone()
-        if existing is None:
+        if found is None:
             self._conn.executescript(PROVENANCE_SCHEMA)
             self._conn.execute(
                 "INSERT INTO prov_meta (key, value) VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
             )
             self._conn.commit()
-        else:
-            found = int(
-                self._conn.execute(
-                    "SELECT value FROM prov_meta WHERE key = 'schema_version'"
-                ).fetchone()[0]
-            )
-            if found == 2:
-                self._migrate_v2_to_v3()
-                found = 3
-            if found == 3:
-                self._migrate_v3_to_v4()
-                found = SCHEMA_VERSION
-            if found != SCHEMA_VERSION:
-                self._conn.close()
-                self._conn = None
-                raise SchemaVersionError(found, SCHEMA_VERSION)
-
-    def _migrate_v2_to_v3(self) -> None:
-        """In-place v2 -> v3 upgrade: the interval identity index.
-
-        v3's only delta is ``UNIQUE (nid, opened_us)`` on
-        ``prov_intervals``.  Rows a pre-v3 crash replay already
-        duplicated are collapsed first (they are exact re-deliveries,
-        so keeping the first of each group loses nothing), then the
-        index lands and the version advances — existing stores keep
-        opening instead of raising :class:`SchemaVersionError`.
-        """
-        self._conn.execute(
-            "DELETE FROM prov_intervals WHERE rowid NOT IN"
-            " (SELECT MIN(rowid) FROM prov_intervals"
-            "  GROUP BY nid, opened_us)"
-        )
-        self._conn.execute(
-            "CREATE UNIQUE INDEX IF NOT EXISTS prov_intervals_identity"
-            " ON prov_intervals (nid, opened_us)"
-        )
-        self._conn.execute(
-            "UPDATE prov_meta SET value = '3' WHERE key = 'schema_version'"
-        )
-        self._conn.commit()
-
-    def _migrate_v3_to_v4(self) -> None:
-        """In-place v3 -> v4 upgrade: the relevance-index sidecar.
-
-        The index tables land empty and the index is marked *stale*:
-        existing nodes are unindexed, and re-deriving their token bags
-        belongs to the indexing layer (``repro.service.indexer``), not
-        the store.  A stale index is rebuilt lazily on the first ranked
-        query, so migrated stores keep opening — and keep answering
-        every pre-v4 query — without paying a rebuild they may never
-        need.
-        """
-        self._conn.executescript(SEARCH_INDEX_SCHEMA)
-        self._conn.execute(
-            "INSERT OR REPLACE INTO prov_meta (key, value)"
-            " VALUES ('index_state', 'stale')"
-        )
-        self._conn.execute(
-            "UPDATE prov_meta SET value = ? WHERE key = 'schema_version'",
-            (str(SCHEMA_VERSION),),
-        )
-        self._conn.commit()
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -422,75 +372,18 @@ class ProvenanceStore:
     # -- writing ------------------------------------------------------------------
 
     def append_node(self, node: ProvNode) -> None:
-        """Insert one node (id collisions replace, for idempotence).
-
-        The write-through capture path: one probe for unseen ids, then
-        the upsert (with ``RETURNING nid`` where SQLite supports it).
-        """
-        if node.id not in self._nids:
-            # Could be a cold-cache re-record; learn its nid/timestamp
-            # so an edge-timestamp fix-up below can see the old value.
-            self._prefetch_nids([node.id])
-        old_ts = self._node_ts.get(node.id)
-        if node.id in self._nids and old_ts != node.timestamp_us:
-            self._materialize_inherited_ts([(old_ts, self._nids[node.id])])
-
-        page_id = None
-        stored_label: str | None = node.label
-        if node.url is not None:
-            page_id, page_title = self._intern_pages(
-                {node.url: node.label}
-            )[node.url]
-            if node.label == page_title:
-                stored_label = None  # inherit from the page row
-
-        attrs = dict(node.attrs)
-        hidden = 1 if attrs.pop("hidden", 0) == 1 else 0
-        transition = attrs.pop("transition", None)
-        transition_id = None
-        if isinstance(transition, str) and transition in _TRANSITION_NAMES:
-            transition_id = _TRANSITION_NAMES[transition]
-        elif transition is not None:
-            attrs["transition"] = transition  # unknown value: keep generic
-
-        row = (
-            node.id,
-            NODE_KIND_IDS[node.kind],
-            node.timestamp_us,
-            page_id,
-            stored_label,
-            hidden,
-            transition_id,
-        )
-        if _HAS_RETURNING:
-            cursor = self.conn.execute(_NODE_UPSERT + " RETURNING nid", row)
-            nid = cursor.fetchone()[0]
-            self._nids[node.id] = nid
-        else:
-            self.conn.execute(_NODE_UPSERT, row)
-            nid = self._nids.get(node.id)  # upsert keeps existing rowids
-            if nid is None:
-                self._prefetch_nids([node.id])
-                nid = self._nids[node.id]
-        self._node_ts[node.id] = node.timestamp_us
-        # Last write owns the row outright: clear any previous attrs.
-        self.conn.execute("DELETE FROM prov_node_attrs WHERE nid = ?", (nid,))
-        if attrs:
-            self.conn.executemany(
-                "INSERT OR REPLACE INTO prov_node_attrs (nid, name, value)"
-                " VALUES (?, ?, ?)",
-                [(nid, name, value) for name, value in attrs.items()],
-            )
+        self.append_nodes((node,))
 
     def append_nodes(self, nodes: Iterable[ProvNode]) -> int:
-        """Bulk-insert nodes with ``executemany``; returns rows written.
+        """Insert nodes; returns rows written.
 
-        Semantics match repeated :meth:`append_node` (page interning,
-        label inheritance, hidden/transition promotion, id collisions
-        replace) but pages are interned in one batch and node plus attr
-        rows land via two ``executemany`` calls instead of per-row
-        round-trips — the bulk path :meth:`save_graph` and the service
-        ingest pipeline ride on.
+        The one node writer: :meth:`append_node` (capture write-through),
+        :meth:`save_graph` and the service's apply path all land here.
+        Pages are interned first-sight (label inheritance: a label equal
+        to its page's title stores NULL), ``hidden``/``transition`` attrs
+        become columns, and an id collision replaces the row in place,
+        keeping its rowid, with the last write for an id owning its
+        attrs outright.  Node and attr rows land via ``executemany``.
         """
         nodes = list(nodes)
         if not nodes:
@@ -499,12 +392,11 @@ class ProvenanceStore:
         for node in nodes:
             if node.url is not None and node.url not in first_titles:
                 first_titles[node.url] = node.label
-        pages = self._intern_pages(first_titles)
-        # Sequential append_node gives the last write for an id the
-        # whole row, attrs included; dedupe last-wins so a batch does
-        # not merge a superseded node's attrs into its replacement.
-        # (Pages were interned first-sight above, as sequence order
-        # would have.)
+        pages = self._intern_urls(first_titles)
+        # The last write for an id owns the whole row, attrs included:
+        # dedupe last-wins so a batch does not merge a superseded node's
+        # attrs into its replacement.  (Pages were interned first-sight
+        # above, as writing the nodes one by one would have.)
         if len({node.id for node in nodes}) != len(nodes):
             nodes = list({node.id: node for node in nodes}.values())
         # Warm the caches for rows that already exist, then pin down
@@ -681,68 +573,7 @@ class ProvenanceStore:
     # -- loading --------------------------------------------------------------------
 
     def load_graph(self, *, enforce_dag: bool = True) -> ProvenanceGraph:
-        """Reconstruct the full graph from the store."""
-        graph = ProvenanceGraph(enforce_dag=enforce_dag)
-        pages: dict[int, tuple[str, str]] = {
-            row[0]: (row[1], row[2])
-            for row in self.conn.execute("SELECT id, url, title FROM prov_pages")
-        }
-        node_attrs: dict[int, dict[str, AttrValue]] = {}
-        for nid, name, value in self.conn.execute(
-            "SELECT nid, name, value FROM prov_node_attrs"
-        ):
-            node_attrs.setdefault(nid, {})[name] = value
-
-        id_by_nid: dict[int, str] = {}
-        for nid, node_id, kind, when, page_id, label, hidden, transition in (
-            self.conn.execute(
-                "SELECT nid, id, kind, timestamp_us, page_id, label, hidden,"
-                " transition FROM prov_nodes ORDER BY timestamp_us, nid"
-            )
-        ):
-            url = None
-            if page_id is not None:
-                url, page_title = pages[page_id]
-                if label is None:
-                    label = page_title
-            attrs = node_attrs.get(nid, {})
-            if hidden:
-                attrs["hidden"] = 1
-            if transition is not None:
-                attrs["transition"] = _TRANSITION_BY_VALUE[transition]
-            graph.add_node(
-                ProvNode(
-                    id=node_id,
-                    kind=NODE_KINDS_BY_ID[kind],
-                    timestamp_us=when,
-                    label=label or "",
-                    url=url,
-                    attrs=attrs,
-                )
-            )
-            id_by_nid[nid] = node_id
-            self._nids[node_id] = nid
-            self._node_ts[node_id] = when
-
-        edge_attrs: dict[int, dict[str, AttrValue]] = {}
-        for edge_id, name, value in self.conn.execute(
-            "SELECT edge_id, name, value FROM prov_edge_attrs"
-        ):
-            edge_attrs.setdefault(edge_id, {})[name] = value
-        for edge_id, kind, src, dst, when in self.conn.execute(
-            "SELECT id, kind, src, dst, timestamp_us FROM prov_edges ORDER BY id"
-        ):
-            dst_id = id_by_nid[dst]
-            if when is None:
-                when = graph.node(dst_id).timestamp_us
-            graph.add_edge(
-                EDGE_KINDS_BY_ID[kind],
-                id_by_nid[src],
-                dst_id,
-                timestamp_us=when,
-                attrs=edge_attrs.get(edge_id, {}),
-            )
-        return graph
+        return self.load_subgraph("", enforce_dag=enforce_dag)
 
     def load_intervals(self) -> list[NodeInterval]:
         rows = self.conn.execute(
@@ -767,7 +598,6 @@ class ProvenanceStore:
     ) -> list[tuple[str, int]]:
         """Ancestors via recursive CTE; [(node_id, depth)] nearest-first."""
         with self._read_context() as conn:
-            self._require_node(node_id, conn)
             return self._walk(conn, ANCESTOR_QUERY, node_id, max_depth, kinds)
 
     def sql_descendants(
@@ -779,7 +609,6 @@ class ProvenanceStore:
     ) -> list[tuple[str, int]]:
         """Descendants via recursive CTE; [(node_id, depth)] nearest-first."""
         with self._read_context() as conn:
-            self._require_node(node_id, conn)
             return self._walk(conn, DESCENDANT_QUERY, node_id, max_depth,
                               kinds)
 
@@ -831,7 +660,9 @@ class ProvenanceStore:
         search can heap-merge them without re-sorting.  The search term
         is matched literally: ``%`` and ``_`` are escaped, so a user
         searching for ``100%_done`` cannot wildcard into unrelated (or,
-        through a future scoping bug, other tenants') history.
+        through a future scoping bug, other tenants') history.  Case is
+        folded on both sides by :meth:`str.lower` (the registered
+        ``str_lower``), so "über" finds "Über" and "CAFÉ" finds "Café".
         """
         pattern = _like_substring(term.lower())
         scope = ""
@@ -845,8 +676,9 @@ class ProvenanceStore:
             rows = conn.execute(
                 "SELECT n.id, n.timestamp_us FROM prov_nodes AS n"
                 " LEFT JOIN prov_pages AS p ON p.id = n.page_id"
-                " WHERE (lower(coalesce(n.label, p.title, '')) LIKE ? ESCAPE '\\'"
-                "    OR lower(coalesce(p.url, '')) LIKE ? ESCAPE '\\')"
+                " WHERE (str_lower(coalesce(n.label, p.title, ''))"
+                "     LIKE ? ESCAPE '\\'"
+                "    OR str_lower(coalesce(p.url, '')) LIKE ? ESCAPE '\\')"
                 + scope
                 + " ORDER BY n.timestamp_us DESC, n.id LIMIT ?",
                 params,
@@ -980,9 +812,11 @@ class ProvenanceStore:
                 count + docs_delta, total + length_delta
             )
 
-    def _index_counters(self) -> tuple[int, int]:
+    def _index_counters(
+        self, conn: sqlite3.Connection | None = None
+    ) -> tuple[int, int]:
         rows = dict(
-            self.conn.execute(
+            (conn or self.conn).execute(
                 "SELECT key, value FROM prov_meta"
                 " WHERE key IN ('index_docs', 'index_len')"
             )
@@ -1000,9 +834,8 @@ class ProvenanceStore:
 
         State ``"ready"`` means the index is maintained; ``"stale"``
         means node text changed without index maintenance (ingest ran
-        with indexing disabled, or the store was migrated from a
-        pre-index schema) and the index must be rebuilt before ranked
-        results can be trusted.
+        with indexing disabled, ``index=False``) and the index must be
+        rebuilt before ranked results can be trusted.
         """
         with self._read_context() as conn:
             rows = dict(
@@ -1016,26 +849,6 @@ class ProvenanceStore:
             int(rows.get("index_len", 0)),
             rows.get("index_state", "ready"),
         )
-
-    def index_stats_for_prefix(self, id_prefix: str) -> tuple[int, int]:
-        """(documents, total token length) of one tenant's index slice.
-
-        Tenant-scoped ranked search normalizes BM25 against the
-        tenant's own corpus — another tenant's bulk ingest on the same
-        shard must not shift a user's document-length statistics and
-        reorder their results.  Cost is one ``id`` index range over the
-        tenant's rows.
-        """
-        predicate, bounds = _id_range("n.id", id_prefix)
-        with self._read_context() as conn:
-            row = conn.execute(
-                "SELECT COUNT(*), COALESCE(SUM(d.length), 0)"
-                " FROM prov_index_docs AS d"
-                " JOIN prov_nodes AS n ON n.nid = d.nid"
-                " WHERE " + predicate,
-                bounds,
-            ).fetchone()
-        return row[0], row[1]
 
     def mark_index_stale(self) -> None:
         """Record that node text changed without index maintenance.
@@ -1081,35 +894,6 @@ class ProvenanceStore:
     def _count_read(self, op: str) -> None:
         if self._read_ops_metric is not None:
             self._read_ops_metric.inc(1, label=op)
-
-    def term_postings(
-        self, terms: Iterable[str], *, id_prefix: str | None = None
-    ) -> dict[str, list[tuple[str, int]]]:
-        """Per-term posting lists: ``{term: [(node_id, tf)]}``.
-
-        ``id_prefix`` scopes postings to one tenant's documents (the
-        per-user ranked search); a scoped query therefore sees
-        tenant-scoped document frequencies.  Lists are ordered by node
-        id so downstream score accumulation is deterministic.
-        """
-        self._count_read("term_postings")
-        out: dict[str, list[tuple[str, int]]] = {}
-        scope = ""
-        bounds: tuple[str, ...] = ()
-        if id_prefix is not None:
-            predicate, bounds = _id_range("n.id", id_prefix)
-            scope = " AND " + predicate
-        with self._read_context() as conn:
-            for term in dict.fromkeys(terms):
-                rows = conn.execute(
-                    "SELECT n.id, p.tf FROM prov_postings AS p"
-                    " JOIN prov_terms AS t ON t.tid = p.tid"
-                    " JOIN prov_nodes AS n ON n.nid = p.nid"
-                    " WHERE t.term = ?" + scope + " ORDER BY n.id",
-                    (term, *bounds),
-                )
-                out[term] = [(row[0], row[1]) for row in rows]
-        return out
 
     def node_texts(
         self, node_ids: Iterable[str]
@@ -1169,45 +953,45 @@ class ProvenanceStore:
         self._tids.clear()
         return cursor.rowcount
 
-    def max_node_timestamp(self, id_prefix: str | None = None) -> int:
-        """Newest node timestamp — the recency-blend anchor.
-
-        With *id_prefix*, the newest node of one tenant: scoped ranked
-        search must anchor recency at the tenant's own activity, or a
-        co-tenant's ingest would age every hit and reorder results.
-        """
-        with self._read_context() as conn:
-            if id_prefix is None:
-                row = conn.execute(
-                    "SELECT MAX(timestamp_us) FROM prov_nodes"
-                ).fetchone()
-            else:
-                predicate, bounds = _id_range("id", id_prefix)
-                row = conn.execute(
-                    "SELECT MAX(timestamp_us) FROM prov_nodes"
-                    " WHERE " + predicate,
-                    bounds,
-                ).fetchone()
-        return row[0] or 0
-
     def ranking_aggregates(
         self, id_prefix: str | None = None
     ) -> tuple[int, int, int]:
         """``(documents, total indexed length, newest timestamp_us)`` —
         the three corpus aggregates a ranked scan blends against.
 
-        With *id_prefix*, one tenant's (:meth:`index_stats_for_prefix`
-        and :meth:`max_node_timestamp`); without, the shard's.  None of
-        them depends on the query, so the service reads a tenant's once
-        per cache lifetime; the ``ranking_aggregates`` read-op count
-        shows how often it had to.
+        With *id_prefix*, one tenant's: scoped ranked search normalizes
+        BM25 against the tenant's own documents and anchors recency at
+        the tenant's own newest node, so a co-tenant's ingest on the
+        same shard cannot reorder a user's results.  Each costs one
+        ``id`` index range over the tenant's rows.  Without, the
+        shard's: the index counters in ``prov_meta`` and the newest
+        node.  None of them depends on the query, so the service reads
+        a tenant's once per cache lifetime; the ``ranking_aggregates``
+        read-op count shows how often it had to.
         """
         self._count_read("ranking_aggregates")
-        if id_prefix is None:
-            docs, length, _state = self.index_stats()
-        else:
-            docs, length = self.index_stats_for_prefix(id_prefix)
-        return docs, length, self.max_node_timestamp(id_prefix)
+        with self._read_context() as conn:
+            if id_prefix is None:
+                docs, length = self._index_counters(conn)
+                newest = conn.execute(
+                    "SELECT MAX(timestamp_us) FROM prov_nodes"
+                ).fetchone()[0]
+            else:
+                predicate, bounds = _id_range("n.id", id_prefix)
+                docs, length = conn.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(d.length), 0)"
+                    " FROM prov_index_docs AS d"
+                    " JOIN prov_nodes AS n ON n.nid = d.nid"
+                    " WHERE " + predicate,
+                    bounds,
+                ).fetchone()
+                predicate, bounds = _id_range("id", id_prefix)
+                newest = conn.execute(
+                    "SELECT MAX(timestamp_us) FROM prov_nodes"
+                    " WHERE " + predicate,
+                    bounds,
+                ).fetchone()[0]
+        return docs, length, newest or 0
 
     def read_rows(
         self, op: str, sql: str, params: Sequence = ()
@@ -1236,11 +1020,13 @@ class ProvenanceStore:
         """Reconstruct only the nodes and edges whose ids start with
         *id_prefix*.
 
-        The multi-tenant retention path: one tenant's subgraph, labels
-        and URLs inherited exactly as :meth:`load_graph` would.  Edges
-        are matched through their source node; tenant edges never cross
-        tenants, so this is exact.  Intervals are not loaded —
-        retention decides by node identity and timestamp.
+        The store's one graph loader: :meth:`load_graph` is the empty
+        prefix (``id >= ''`` holds every row), and the service loads
+        one tenant's subgraph with it.  A NULL label inherits its
+        page's title.  Edges are matched through their source node;
+        tenant edges never cross tenants, so this is exact.  Intervals
+        are not loaded (:meth:`load_intervals`).  Reads run where the
+        store's reads run (:meth:`_read_context`).
         """
         predicate, bounds = _id_range("n.id", id_prefix)
         graph = ProvenanceGraph(enforce_dag=enforce_dag)
@@ -1499,17 +1285,7 @@ class ProvenanceStore:
 
     # -- internals ----------------------------------------------------------------------------
 
-    def _intern_page(self, url: str, title: str) -> int:
-        """Intern a URL; the title is fixed at first sight.
-
-        Immutability matters for losslessness: nodes whose label equals
-        the page title store NULL and inherit it on load — retroactive
-        title updates would silently rewrite those nodes' labels.
-        Later nodes with a different title store it explicitly.
-        """
-        return self._intern_pages({url: title})[url][0]
-
-    def _intern_pages(
+    def _intern_urls(
         self, first_titles: dict[str, str]
     ) -> dict[str, tuple[int, str]]:
         """Intern URLs in bulk; returns {url: (page_id, stored_title)}.
@@ -1583,24 +1359,17 @@ class ProvenanceStore:
         self._node_ts[node_id] = row[0]
         return row[0]
 
-    def _nid(
-        self, node_id: str, conn: sqlite3.Connection | None = None
-    ) -> int:
+    def _nid(self, node_id: str) -> int:
         nid = self._nids.get(node_id)
         if nid is not None:
             return nid
-        row = (conn or self.conn).execute(
+        row = self.conn.execute(
             "SELECT nid FROM prov_nodes WHERE id = ?", (node_id,)
         ).fetchone()
         if row is None:
             raise UnknownNodeError(node_id)
         self._nids[node_id] = row[0]
         return row[0]
-
-    def _require_node(
-        self, node_id: str, conn: sqlite3.Connection | None = None
-    ) -> None:
-        self._nid(node_id, conn)
 
     def _walk(
         self,
@@ -1618,8 +1387,10 @@ class ProvenanceStore:
         rows = conn.execute(
             template,
             {"start": node_id, "max_depth": max_depth, "kinds_csv": kinds_csv},
-        )
-        return [(row[0], row[1]) for row in rows]
+        ).fetchall()
+        if not rows:
+            raise UnknownNodeError(node_id)
+        return [(row[0], row[1]) for row in rows[1:]]  # rows[0]: the start
 
 
 class TenantRows:

@@ -158,16 +158,6 @@ class UnknownNodeError(ProvenanceError, KeyError):
         self.node_id = node_id
 
 
-class UnknownEdgeError(ProvenanceError, KeyError):
-    """A graph or store operation referenced an edge id that does not exist."""
-
-    code = "edge_not_found"
-
-    def __init__(self, edge_id: str) -> None:
-        super().__init__(f"unknown provenance edge: {edge_id!r}")
-        self.edge_id = edge_id
-
-
 class DuplicateNodeError(ProvenanceError):
     """A node with the same id was inserted twice with different content."""
 
@@ -213,23 +203,6 @@ class SchemaVersionError(StoreError):
         )
         self.found = found
         self.expected = expected
-
-
-class ShardPoisonedError(StoreError):
-    """A shard cannot serve while an undrained apply failure is parked.
-
-    A poisoned shard's buffered events cannot drain until the next
-    barrier requeues (or quarantines) the failing batch; operations
-    that would require that drain report this instead of blocking.
-    """
-
-    code = "shard_poisoned"
-
-    def __init__(self, shard: int) -> None:
-        super().__init__(
-            f"shard {shard} is poisoned by an undrained apply failure"
-        )
-        self.shard = shard
 
 
 class IntegrityError(ProvenanceError):
@@ -413,7 +386,6 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     # The request named something that does not exist.
     "not_found": 404,
     "node_not_found": 404,
-    "edge_not_found": 404,
     "page_not_found": 404,
     # Framing limits.
     "payload_too_large": 413,
@@ -425,7 +397,6 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     # The service cannot serve right now; a retry may succeed.
     "connection_limit": 503,
     "overloaded": 503,
-    "shard_poisoned": 503,
     "store_closed": 503,
     "query_timeout": 504,
     # The stored record failed authentication: a server fault by

@@ -95,7 +95,6 @@ from repro.service.search import (
     query_fingerprint,
     query_terms,
     shard_ranked_scan,
-    shard_ranked_search,
     slice_after,
 )
 from repro.service.service import (
@@ -204,7 +203,6 @@ __all__ = [
     "scatter_gather",
     "shard_for",
     "shard_ranked_scan",
-    "shard_ranked_search",
     "slice_after",
     "synthesize_streams",
     "synthesize_user_events",

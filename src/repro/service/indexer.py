@@ -17,9 +17,9 @@ rows they index.  This module owns how those tables are fed:
   every document's token bag from the node rows (label inheritance
   resolved through ``prov_pages`` exactly as the apply path saw it)
   and re-populates the tables from scratch.  This is the recovery path
-  for stores migrated from a pre-index schema and for corpora ingested
-  with indexing disabled; both are marked ``stale`` in ``prov_meta``
-  and :func:`ensure_index` rebuilds them lazily on first ranked query.
+  for corpora ingested with indexing disabled (``index=False``): they
+  are marked ``stale`` in ``prov_meta`` and :func:`ensure_index`
+  rebuilds them lazily on first ranked query.
 
 Tokenization is the shared :mod:`repro.ir.tokenize` stack — the same
 analyzer the paper's search-engine and history-search comparisons use,
@@ -145,9 +145,9 @@ def compact_index(store: ProvenanceStore) -> int:
 def ensure_index(store: ProvenanceStore) -> bool:
     """Rebuild *store*'s index if it is stale; True when a rebuild ran.
 
-    The lazy-recovery hook ranked queries call per shard: migrated
-    stores and disabled-indexing corpora self-heal on first use
-    instead of failing or silently returning partial results.  The
+    The lazy-recovery hook ranked queries call per shard: a corpus
+    ingested with indexing disabled self-heals on first use instead
+    of failing or silently returning partial results.  The
     rebuild takes the store exclusively, so concurrent ranked readers
     serialize behind it and each re-checks before rebuilding again.
     """

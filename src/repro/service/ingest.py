@@ -86,6 +86,7 @@ from repro.service.integrity import (
     IntegrityReport,
     TOMBSTONE_CAP,
     chain_hash,
+    journal_segments,
     load_or_create_key,
     load_signed,
     parse_chained_line,
@@ -195,7 +196,7 @@ class IngestJournal:
         self._staged: list = []
         self._flushed = self._read_checkpoint()
         last_segment = max(
-            (last for _path, last in self._segments()), default=0
+            (last for _path, last in journal_segments(self.path)), default=0
         )
         last_active = self._recover_tail()
         #: Highest sequence whose line has reached the file.
@@ -530,7 +531,7 @@ class IngestJournal:
         with self._io_lock:
             doomed = [
                 (seg_path, seg_last)
-                for seg_path, seg_last in self._segments()
+                for seg_path, seg_last in journal_segments(self.path)
                 if seg_last <= self._flushed
             ]
             if min_bytes > 0:
@@ -698,7 +699,7 @@ class IngestJournal:
     def unflushed(self) -> list[tuple[int, ProvEvent]]:
         """Journal entries past the checkpoint, in append order."""
         entries: list[tuple[int, ProvEvent]] = []
-        for seg_path, _last in self._segments():
+        for seg_path, _last in journal_segments(self.path):
             for seq, payload in self._iter_file(seg_path):
                 if seq > self._flushed:
                     entries.append((seq, decode_event(payload)))
@@ -706,24 +707,6 @@ class IngestJournal:
             if seq > self._flushed:
                 entries.append((seq, decode_event(payload)))
         return entries
-
-    def _segments(self) -> list[tuple[str, int]]:
-        """Rotated segment files as (path, last_seq), oldest first."""
-        directory = os.path.dirname(self.path) or "."
-        prefix = os.path.basename(self.path) + ".seg-"
-        found: list[tuple[str, int]] = []
-        if not os.path.isdir(directory):
-            return found
-        for name in os.listdir(directory):
-            if not name.startswith(prefix):
-                continue
-            try:
-                last = int(name[len(prefix):])
-            except ValueError:
-                continue
-            found.append((os.path.join(directory, name), last))
-        found.sort(key=lambda pair: pair[1])
-        return found
 
     def _iter_file(self, path: str):
         if not os.path.exists(path):
@@ -818,7 +801,7 @@ class IngestJournal:
         head = str(manifest.get("chain", GENESIS)) if manifest else GENESIS
         if manifest is None or attested <= self._anchor_seq:
             head = self._anchor
-        paths = [seg_path for seg_path, _last in self._segments()]
+        paths = [seg_path for seg_path, _last in journal_segments(self.path)]
         paths.append(self.path)
         for file_path in paths:
             active = file_path == self.path
@@ -924,10 +907,6 @@ class IngestJournal:
         while len(self._tombstones) > TOMBSTONE_CAP:
             dropped = self._tombstones.pop(0)
             self._tombstone_anchor = str(dropped.get("h", GENESIS))
-
-    @property
-    def integrity_enabled(self) -> bool:
-        return self._integrity
 
     def record_tombstone(self, op: str, **details) -> None:
         """Append a signed deletion record and re-attest the manifest.

@@ -203,20 +203,6 @@ def sign_payload(key: bytes, payload: dict) -> str:
 # -- manifest and seals -------------------------------------------------------
 
 
-def empty_manifest() -> dict:
-    """A fresh journal's manifest state (nothing attested yet)."""
-    return {
-        "version": INTEGRITY_VERSION,
-        "anchor_seq": 0,
-        "anchor": GENESIS,
-        "seq": 0,
-        "chain": GENESIS,
-        "tenants": {},
-        "tombstone_anchor": GENESIS,
-        "tombstones": [],
-    }
-
-
 def write_signed(
     path: str, payload: dict, key: bytes, *, fsync: bool = True
 ) -> None:
@@ -316,10 +302,12 @@ class IntegrityReport:
 
 
 def journal_segments(path: str) -> list[tuple[str, int]]:
-    """Rotated segments of the journal at *path*, oldest first.
+    """Rotated segments ``(path, last_seq)`` of the journal at *path*,
+    oldest first.
 
-    Mirrors the journal's own discovery so verification needs no live
-    :class:`~repro.service.ingest.IngestJournal`.
+    The one segment lister: :class:`~repro.service.ingest.IngestJournal`
+    discovers its own segments here, and verification needs no live
+    journal.
     """
     directory = os.path.dirname(path) or "."
     prefix = os.path.basename(path) + ".seg-"

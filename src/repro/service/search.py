@@ -386,32 +386,6 @@ def slice_after(
     return window, len(scan) - start - len(window)
 
 
-def shard_ranked_search(
-    store: ProvenanceStore,
-    terms: list[str],
-    *,
-    limit: int,
-    params: RankingParams = DEFAULT_RANKING,
-    id_prefix: str | None = None,
-    now_us: int | None = None,
-    after: tuple[float, str] | None = None,
-) -> list[tuple[str, float]]:
-    """One shard's blended window: ``[(stored_id, score)]`` best-first.
-
-    The top *limit* when *after* is ``None``; otherwise the next
-    *limit* strictly below the ``(score, stored_id)`` watermark.  A
-    convenience over :func:`shard_ranked_scan` + :func:`slice_after`
-    for callers that do not cache the scan.
-    """
-    if not terms or limit < 1:
-        return []
-    scan = shard_ranked_scan(
-        store, terms, params=params, id_prefix=id_prefix, now_us=now_us
-    )
-    window, _remaining = slice_after(scan, after, limit)
-    return window
-
-
 # -- snippets ---------------------------------------------------------------
 
 #: The analyzer's token shape, reused here so snippet offsets land on

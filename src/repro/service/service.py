@@ -803,9 +803,8 @@ class ProvenanceService:
         restarts (they carry no in-memory references) and tolerate a
         changed ``limit`` between pages.
 
-        Shards whose index is stale (migrated from a pre-index schema,
-        or ingested with ``index=False``) rebuild transparently on
-        first use.
+        Shards whose index is stale (ingested with ``index=False``)
+        rebuild transparently on first use.
         """
         if limit < 1:
             raise ConfigurationError("ranked_search limit must be >= 1")

@@ -1,6 +1,7 @@
 """Tests for the SQLite homogeneous provenance store."""
 
 import os
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -144,53 +145,77 @@ class TestSqlQueries:
         assert store.sql_text_search("100%_done") == []
         store.close()
 
+    def test_sql_text_search_folds_non_ascii_case(self):
+        """Term and text fold alike (:meth:`str.lower`): an upper-case
+        non-ASCII letter in a label matches, in either case."""
+        store = ProvenanceStore()
+        store.append_node(visit("uber", 1, label="Über uns"))
+        store.append_node(visit("ecole", 2, label="École Polytechnique"))
+        store.append_node(visit("cafe", 3, "http://café.example/", "Café"))
+        store.commit()
+        assert store.sql_text_search("Über") == ["uber"]
+        assert store.sql_text_search("über") == ["uber"]
+        assert store.sql_text_search("école") == ["ecole"]
+        assert store.sql_text_search("ÉCOLE POLY") == ["ecole"]
+        assert store.sql_text_search("CAFÉ") == ["cafe"]
+        assert store.sql_text_search("CAFÉ.EXAMPLE") == ["cafe"]
+        store.close()
+
     def test_sql_text_search_scored_orders_by_recency(self, store):
         scored = store.sql_text_search_scored("a.com")
         assert scored == [("c", 3), ("a", 1)]
 
 
+def _old_store(path: str, version: int, journal_mode: str) -> bytes:
+    """A closed store at schema *version* in *journal_mode*; its bytes.
+
+    v2 lacked the interval identity index and the relevance-index
+    tables, v3 only the tables; the version row is what refuses them.
+    """
+    store = ProvenanceStore(path)
+    store.append_node(visit("a", 1, "http://a.com/", "page a"))
+    store.commit()
+    store.close()
+    conn = sqlite3.connect(path)
+    conn.execute(f"PRAGMA journal_mode={journal_mode}")
+    conn.executescript(
+        "DROP TABLE prov_postings; DROP TABLE prov_terms;"
+        " DROP TABLE prov_index_docs;"
+    )
+    if version == 2:
+        conn.execute("DROP INDEX prov_intervals_identity")
+    conn.execute(
+        "UPDATE prov_meta SET value = ? WHERE key = 'schema_version'",
+        (str(version),),
+    )
+    conn.commit()
+    conn.close()
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 class TestSchemaMigration:
-    def test_v2_store_upgrades_in_place_and_dedupes_intervals(self, tmp_path):
-        """A v2 store (no interval identity index, possibly carrying
-        crash-replay duplicates) must open, collapse the duplicates,
-        and come out as v3 — not raise SchemaVersionError."""
-        from repro.core.capture import NodeInterval
+    """There are none: one schema version is read, every other refused."""
 
+    @pytest.mark.parametrize("journal_mode", ["wal", "delete"])
+    @pytest.mark.parametrize("version", [2, 3, 99])
+    def test_other_versions_are_refused_untouched(
+        self, tmp_path, version, journal_mode
+    ):
+        """A store at any version but the current one raises, and the
+        refused open writes nothing — not even the WAL switch, which
+        would rewrite a rollback-journal file's header."""
         path = str(tmp_path / "old.sqlite")
-        store = ProvenanceStore(path)
-        store.append_node(visit("a", 1))
-        store.append_interval(
-            NodeInterval(node_id="a", tab_id=1, opened_us=5, closed_us=9)
+        before = _old_store(path, version, journal_mode)
+        files = sorted(os.listdir(tmp_path))
+        with pytest.raises(SchemaVersionError) as refused:
+            ProvenanceStore(path)
+        assert (refused.value.found, refused.value.expected) == (
+            version, SCHEMA_VERSION
         )
-        store.commit()
-        # Downgrade to the v2 on-disk shape: drop the identity index,
-        # restore the version, and re-create a replay duplicate.
-        store.conn.execute("DROP INDEX prov_intervals_identity")
-        store.conn.execute(
-            "INSERT INTO prov_intervals (nid, tab_id, opened_us, closed_us)"
-            " SELECT nid, tab_id, opened_us, closed_us FROM prov_intervals"
-        )
-        store.conn.execute(
-            "UPDATE prov_meta SET value = '2' WHERE key = 'schema_version'"
-        )
-        store.commit()
-        assert store.interval_count() == 2  # the v2 duplicate bug
-        store.close()
-
-        upgraded = ProvenanceStore(path)
-        assert upgraded.interval_count() == 1  # deduped by migration
-        version = upgraded.conn.execute(
-            "SELECT value FROM prov_meta WHERE key = 'schema_version'"
-        ).fetchone()[0]
-        assert version == str(SCHEMA_VERSION)
-        # The identity index is live: re-appending upserts.
-        upgraded._prefetch_nids(["a"])
-        upgraded.append_interval(
-            NodeInterval(node_id="a", tab_id=2, opened_us=5, closed_us=11)
-        )
-        upgraded.commit()
-        assert upgraded.interval_count() == 1
-        upgraded.close()
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert sorted(os.listdir(tmp_path)) == files
 
     def test_sql_nodes_of_kind(self, store):
         assert store.sql_nodes_of_kind(NodeKind.SEARCH_TERM) == ["t"]
@@ -369,24 +394,6 @@ class TestBulkAppend:
         assert dict(edge.attrs) == {}
         store.close()
 
-    def test_append_node_without_returning_support(self, monkeypatch):
-        """The pre-3.35 SQLite path (no RETURNING) behaves identically."""
-        from repro.core import store as store_module
-
-        monkeypatch.setattr(store_module, "_HAS_RETURNING", False)
-        store = ProvenanceStore()
-        store.append_node(visit("a", 1, "http://x.com/", "t", extra=1))
-        store.append_node(visit("a", 2, "http://x.com/", "t"))
-        store.append_node(visit("b", 3))
-        store.append_edge(
-            ProvEdge(id=0, kind=EdgeKind.LINK, src="a", dst="b",
-                     timestamp_us=3)
-        )
-        assert store.sql_ancestors("b") == [("a", 1)]
-        loaded = store.load_graph().node("a")
-        assert loaded.timestamp_us == 2 and dict(loaded.attrs) == {}
-        store.close()
-
     def test_ts_change_does_not_shift_inherited_edge_times(self):
         """Edges storing NULL inherit the dst node's timestamp; a node
         re-recorded with a corrected time must not retroactively move
@@ -408,6 +415,29 @@ class TestBulkAppend:
             (edge,) = store.load_graph(enforce_dag=False).edges()
             assert edge.timestamp_us == 5, rerecord
             store.close()
+
+    @pytest.mark.parametrize("rerecord", ["bulk", "single"])
+    def test_rerecord_after_a_walk_keeps_inherited_edge_time(self, rerecord):
+        """A walk leaves the writer's row caches alone: an ``id -> nid``
+        entry it cached without the timestamp made the next re-record
+        skip the fetch that pins inherited edge times (bulk raised
+        KeyError, single shifted the edge to the new time)."""
+        store = ProvenanceStore()
+        store.append_nodes([visit("a", 1), visit("b", 5)])
+        store.append_edges([
+            ProvEdge(id=0, kind=EdgeKind.LINK, src="a", dst="b",
+                     timestamp_us=5)  # == dst ts -> stored NULL
+        ])
+        store.commit()
+        store.drop_node_caches()
+        assert store.sql_ancestors("b") == [("a", 1)]
+        if rerecord == "bulk":
+            store.append_nodes([visit("b", 9)])
+        else:
+            store.append_node(visit("b", 9))
+        (edge,) = store.load_graph(enforce_dag=False).edges()
+        assert edge.timestamp_us == 5
+        store.close()
 
     def test_rollback_clears_caches(self):
         """After rollback, retried writes must re-intern pages rather

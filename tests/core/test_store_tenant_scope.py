@@ -26,6 +26,7 @@ from repro.core.store import _id_range, _prefix_successor
 from repro.service import ProvenanceService
 from repro.service import search as search_module
 from repro.service.workload import MultiUserParams, synthesize_user_events
+from tests.service import ranking_reference as reference
 
 #: Characters that stress the bounds: LIKE metacharacters, the tenant
 #: separator, non-ASCII, and the code points around the surrogate block
@@ -139,11 +140,14 @@ def _graph_rows(graph) -> tuple[list, list]:
 
 
 #: Every rewritten tenant-scoped read: ``(store, prefix, terms, page_ids)``.
+#: ``index_stats_for_prefix``, ``max_node_timestamp`` and
+#: ``term_postings`` are the ranked scan's reference model's own reads
+#: (the store folded the first two into ``ranking_aggregates``).
 SCOPED_READS = {
-    "index_stats_for_prefix": lambda s, p, t, g: s.index_stats_for_prefix(p),
-    "max_node_timestamp": lambda s, p, t, g: s.max_node_timestamp(p),
+    "index_stats_for_prefix": lambda s, p, t, g: reference.index_totals(s, p),
+    "max_node_timestamp": lambda s, p, t, g: reference.newest_timestamp(s, p),
     "ranking_aggregates": lambda s, p, t, g: s.ranking_aggregates(p),
-    "term_postings": lambda s, p, t, g: s.term_postings(t, id_prefix=p),
+    "term_postings": lambda s, p, t, g: reference.term_postings(s, t, p),
     "ranked_scan": lambda s, p, t, g: search_module.shard_ranked_scan(
         s, t, id_prefix=p
     ),

@@ -7,8 +7,13 @@ statement: posting lists per term, an
 :func:`repro.ir.scoring.bm25_scores` scores unchanged, then recency and
 per-tenant page visits blended per candidate and sorted in Python.
 The statement must reproduce its order and every score bit for bit.
-It reads the shard with plain SQL on the writer connection, so call it
-from the thread that owns the store.
+It reads the shard with its own plain SQL on the writer connection
+(:func:`term_postings`, :func:`index_totals`, :func:`newest_timestamp`
+and the per-hit reads below), sharing no read with the statement it
+checks, so call it from the thread that owns the store.  Tenant scopes
+select through the store's ``_id_range``, looked up at call time so a
+test may swap it; its bounds are pinned against ``str.startswith`` in
+``tests/core/test_store_tenant_scope.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 
 from repro.browser.frecency import recency_weight
 from repro.clock import MICROSECONDS_PER_DAY
+from repro.core import store as store_module
 from repro.core.store import ProvenanceStore
 from repro.ir.index import Posting, idf_from_counts
 from repro.ir.scoring import bm25_scores
@@ -24,12 +30,66 @@ from repro.service.events import USER_SEP
 from repro.service.search import DEFAULT_RANKING, RankingParams
 
 
+def _scope(column: str, id_prefix: str | None, joiner: str):
+    """``(sql, params)``: *joiner* + the id range, or nothing unscoped."""
+    if id_prefix is None:
+        return "", ()
+    predicate, bounds = store_module._id_range(column, id_prefix)
+    return f" {joiner} {predicate}", bounds
+
+
+def term_postings(
+    store: ProvenanceStore, terms: list[str], id_prefix: str | None = None
+) -> dict[str, list[tuple[str, int]]]:
+    """``{term: [(node_id, tf)]}`` in scope, each list by node id."""
+    scope, bounds = _scope("n.id", id_prefix, "AND")
+    return {
+        term: [
+            (node_id, tf)
+            for node_id, tf in store.conn.execute(
+                "SELECT n.id, p.tf FROM prov_postings AS p"
+                " JOIN prov_terms AS t ON t.tid = p.tid"
+                " JOIN prov_nodes AS n ON n.nid = p.nid"
+                " WHERE t.term = ?" + scope + " ORDER BY n.id",
+                (term, *bounds),
+            )
+        ]
+        for term in dict.fromkeys(terms)
+    }
+
+
+def index_totals(
+    store: ProvenanceStore, id_prefix: str | None = None
+) -> tuple[int, int]:
+    """``(documents, total length)`` counted from the index rows in
+    scope (never from the ``prov_meta`` counters)."""
+    scope, bounds = _scope("n.id", id_prefix, "WHERE")
+    docs, length = store.conn.execute(
+        "SELECT COUNT(*), COALESCE(SUM(d.length), 0)"
+        " FROM prov_index_docs AS d JOIN prov_nodes AS n ON n.nid = d.nid"
+        + scope,
+        bounds,
+    ).fetchone()
+    return docs, length
+
+
+def newest_timestamp(
+    store: ProvenanceStore, id_prefix: str | None = None
+) -> int:
+    """The newest node timestamp in scope (0 when it holds none)."""
+    scope, bounds = _scope("id", id_prefix, "WHERE")
+    (newest,) = store.conn.execute(
+        "SELECT MAX(timestamp_us) FROM prov_nodes" + scope, bounds
+    ).fetchone()
+    return newest or 0
+
+
 class ReferenceIndexView:
     """The query's postings and BM25 statistics, read into memory."""
 
     def __init__(self, store: ProvenanceStore, terms: list[str],
                  id_prefix: str | None) -> None:
-        self._postings = store.term_postings(terms, id_prefix=id_prefix)
+        self._postings = term_postings(store, terms, id_prefix)
         self._doc_lengths = {
             doc_id: row[0]
             for doc_id in {
@@ -42,12 +102,7 @@ class ReferenceIndexView:
                 (doc_id,),
             )
         }
-        if id_prefix is not None:
-            self._doc_count, self._total_length = (
-                store.index_stats_for_prefix(id_prefix)
-            )
-        else:
-            self._doc_count, self._total_length, _state = store.index_stats()
+        self._doc_count, self._total_length = index_totals(store, id_prefix)
 
     def postings(self, term: str) -> list[Posting]:
         return [Posting(doc_id, tf)
@@ -88,7 +143,7 @@ def reference_scan(
     view = ReferenceIndexView(store, terms, id_prefix)
     scored = bm25_scores(view, terms, params.bm25)
     if now_us is None:
-        now_us = store.max_node_timestamp(id_prefix)
+        now_us = newest_timestamp(store, id_prefix)
     visits: dict[tuple[int, str], int] = {}
     blended = []
     for doc in scored:

@@ -24,6 +24,7 @@ from repro.errors import (
 from repro.service import ProvenanceService
 from repro.service.events import EdgeEvent, IntervalEvent, NodeEvent
 from repro.service.ingest import IngestJournal, IngestPipeline
+from repro.service.integrity import journal_segments
 from repro.service.parallel import ShardWorkerPool, scatter_gather
 from repro.service.pool import StorePool
 
@@ -177,7 +178,7 @@ class TestJournalRotation:
         journal = IngestJournal(path, rotate_bytes=256)
         for i in range(50):
             journal.append(node_event("u", f"node-{i:04d}"))
-        segments = journal._segments()
+        segments = journal_segments(journal.path)
         assert len(segments) >= 2
         assert [last for _p, last in segments] == sorted(
             last for _p, last in segments
@@ -193,12 +194,12 @@ class TestJournalRotation:
         journal = IngestJournal(path, rotate_bytes=256)
         for i in range(50):
             journal.append(node_event("u", f"node-{i:04d}"))
-        segments = journal._segments()
+        segments = journal_segments(journal.path)
         flushed_through = segments[0][1]  # first segment fully flushed
         journal.checkpoint(flushed_through)
         freed = journal.compact()
         assert freed > 0
-        assert len(journal._segments()) == len(segments) - 1
+        assert len(journal_segments(journal.path)) == len(segments) - 1
         # The active file keeps its unflushed tail.
         assert [seq for seq, _ in journal.unflushed()] == list(
             range(flushed_through + 1, 51)
@@ -692,6 +693,18 @@ class TestServiceCrossShard:
                                                label="100% legit"))
         assert populated.search("mallory", "%") == ["pct"]
         assert populated.global_search("100%") == [("mallory", "pct")]
+
+    def test_search_folds_non_ascii_case(self, populated):
+        """The literal substring match is case-insensitive beyond ASCII:
+        term and text fold alike, as :meth:`str.lower` folds."""
+        populated.record_node("alice", visit("uber", 777, label="Über uns"))
+        populated.record_node("bob", visit("ecole", 778,
+                                           label="École Polytechnique"))
+        assert populated.search("alice", "Über") == ["uber"]
+        assert populated.search("alice", "über") == ["uber"]
+        assert populated.search("bob", "école") == ["ecole"]
+        assert populated.global_search("École") == [("bob", "ecole")]
+        assert populated.global_search("ÜBER") == [("alice", "uber")]
 
 
 class TestReadYourWritesUnderConcurrentIngest:

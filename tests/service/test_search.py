@@ -27,7 +27,8 @@ from repro.service.indexer import (
     node_tokens,
     rebuild_index,
 )
-from repro.service.search import query_terms, shard_ranked_search
+from repro.service.search import query_terms, shard_ranked_scan, slice_after
+from tests.service.ranking_reference import index_totals, term_postings
 
 DAY_US = 24 * 3600 * 1_000_000
 
@@ -39,6 +40,11 @@ def visit(node_id, ts=1, label="", url=None):
 
 def node_event(user, node_id, ts=1, label="", url=None):
     return NodeEvent(user_id=user, node=visit(node_id, ts, label, url))
+
+
+def top(store, terms, limit, **scan):
+    """The first *limit* hits of a shard's ranked scan."""
+    return slice_after(shard_ranked_scan(store, terms, **scan), None, limit)[0]
 
 
 def store_dump(store):
@@ -75,7 +81,7 @@ class TestIncrementalIndex:
         docs, length, state = store.index_stats()
         assert (docs, state) == (2, "ready")
         assert length == 4
-        postings = store.term_postings(["wine", "garden"])
+        postings = term_postings(store, ["wine", "garden"])
         assert postings["wine"] == [("u::a", 1)]
         assert postings["garden"] == [("u::b", 1)]
         store.close()
@@ -97,8 +103,8 @@ class TestIncrementalIndex:
         store = ProvenanceStore()
         apply_event_batch(store, [(1, node_event("u", "a", 1, "wine"))])
         apply_event_batch(store, [(2, node_event("u", "a", 2, "garden"))])
-        assert store.term_postings(["wine"])["wine"] == []
-        assert store.term_postings(["garden"])["garden"] == [("u::a", 1)]
+        assert term_postings(store, ["wine"])["wine"] == []
+        assert term_postings(store, ["garden"])["garden"] == [("u::a", 1)]
         docs, length, _state = store.index_stats()
         assert (docs, length) == (1, 1)
 
@@ -122,13 +128,9 @@ class TestIncrementalIndex:
             (1, node_event("u", "a", 1, "wine cellar", "http://w.com/c")),
             (2, node_event("v", "b", 2, "cellar door", "http://w.com/d")),
         ])
-        incremental = shard_ranked_search(
-            store, query_terms("cellar"), limit=10
-        )
+        incremental = top(store, query_terms("cellar"), 10)
         rebuild_index(store)
-        assert shard_ranked_search(
-            store, query_terms("cellar"), limit=10
-        ) == incremental
+        assert top(store, query_terms("cellar"), 10) == incremental
 
     def test_tenant_scoped_corpus_stats_and_recency_anchor(self):
         """Per-user BM25 normalizes against the tenant's own corpus
@@ -141,9 +143,8 @@ class TestIncrementalIndex:
             (2, node_event("v", "b", 2, "a very long unrelated document"
                                         " full of many many words")),
         ])
-        assert store.index_stats_for_prefix("u::") == (1, 2)
-        scoped = shard_ranked_search(store, ["wine"], limit=5,
-                                     id_prefix="u::")
+        assert index_totals(store, "u::") == (1, 2)
+        scoped = top(store, ["wine"], 5, id_prefix="u::")
         before = scoped[0][1]
         # Another tenant floods the shard with long, far-newer docs
         # (which would both shift avgdl and age u's hits into older
@@ -153,8 +154,7 @@ class TestIncrementalIndex:
                                 "more words " * 20))
             for i in range(5)
         ])
-        scoped = shard_ranked_search(store, ["wine"], limit=5,
-                                     id_prefix="u::")
+        scoped = top(store, ["wine"], 5, id_prefix="u::")
         assert scoped[0][1] == before
 
     def test_disabled_indexing_marks_stale_and_ensure_rebuilds(self):
@@ -166,7 +166,7 @@ class TestIncrementalIndex:
         assert (docs, state) == (0, "stale")
         assert ensure_index(store) is True  # rebuilt
         assert store.index_stats()[2] == "ready"
-        assert shard_ranked_search(store, ["wine"], limit=5)
+        assert top(store, ["wine"], 5)
         assert ensure_index(store) is False  # second call is a no-op
 
 

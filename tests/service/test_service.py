@@ -268,6 +268,22 @@ class TestReadYourWrites:
         assert os.path.getsize(service.journal.path) == 0  # compacted
         service.close()
 
+    def test_rerecord_after_a_walk_applies(self, service):
+        """A lineage walk leaves the shard's writer able to re-record
+        the walked node (the flush after one raised KeyError), and the
+        re-record keeps the inbound edge's inherited time."""
+        seed_user(service, "alice", "garden")
+        assert service.ancestors("alice", "c") == [("b", 1), ("a", 2)]
+        service.record_node("alice", visit("c", 9, "garden end"))
+        service.flush()
+        with service.pool.checkout(service.pool.shard_of("alice")) as store:
+            graph = store.load_subgraph("alice::")
+        assert graph.node("alice::c").timestamp_us == 9
+        assert [
+            edge.timestamp_us for edge in graph.edges()
+            if edge.dst == "alice::c"
+        ] == [3]
+
     def test_interval_events_flow_through(self, service):
         service.record_node("alice", visit("a", 1))
         service.record_interval(
