@@ -19,8 +19,13 @@ from repro.core.taxonomy import EdgeKind, NodeKind
 AttrValue = str | int | float
 
 
+#: The attrs of every node and edge that has none: one read-only view,
+#: shared, since nothing can write through it.
+_NO_ATTRS: Mapping[str, AttrValue] = MappingProxyType({})
+
+
 def _frozen_attrs(attrs: Mapping[str, AttrValue] | None) -> Mapping[str, AttrValue]:
-    return MappingProxyType(dict(attrs) if attrs else {})
+    return MappingProxyType(dict(attrs)) if attrs else _NO_ATTRS
 
 
 @dataclass(frozen=True)

@@ -300,7 +300,12 @@ class ProvenanceStore:
         Unowned (or owner-thread) access reads the main connection under
         the store lock; access from a non-owner thread while a writer
         holds the store takes a per-thread WAL read connection instead
-        of blocking on (or racing) the writer.
+        of blocking on (or racing) the writer.  Either way the block is
+        one snapshot: under the lock no other statement can commit, and
+        on the reader the block runs in one read transaction (an inner
+        block joins the transaction its outer block opened), so a
+        commit landing between two of its statements is seen by
+        neither.
         """
         owner = self._owner
         if (
@@ -308,7 +313,15 @@ class ProvenanceStore:
             and owner is not None
             and owner != threading.get_ident()
         ):
-            yield self.read_connection()
+            reader = self.read_connection()
+            if reader.in_transaction:
+                yield reader
+                return
+            reader.execute("BEGIN")
+            try:
+                yield reader
+            finally:
+                reader.rollback()  # read-only: ends the snapshot
             return
         with self.exclusive():  # takes the store lock
             yield self.conn
@@ -1040,6 +1053,7 @@ class ProvenanceStore:
             ):
                 node_attrs.setdefault(nid, {})[name] = value
             id_by_nid: dict[int, str] = {}
+            ts_by_nid: dict[int, int] = {}  # a NULL edge time inherits it
             for (
                 nid, node_id, kind, when, label, hidden, transition, url, title
             ) in conn.execute(
@@ -1069,6 +1083,7 @@ class ProvenanceStore:
                     )
                 )
                 id_by_nid[nid] = node_id
+                ts_by_nid[nid] = when
             edge_attrs: dict[int, dict[str, AttrValue]] = {}
             for edge_id, name, value in conn.execute(
                 "SELECT a.edge_id, a.name, a.value FROM prov_edge_attrs AS a"
@@ -1090,7 +1105,7 @@ class ProvenanceStore:
                 if src_id is None or dst_id is None:
                     continue  # foreign endpoint: not this tenant's edge
                 if when is None:
-                    when = graph.node(dst_id).timestamp_us
+                    when = ts_by_nid[dst]
                 graph.add_edge(
                     EDGE_KINDS_BY_ID[kind],
                     src_id,

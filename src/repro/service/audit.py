@@ -8,15 +8,23 @@ Lineage" query), and the hash attestations that tie the report to the
 tamper-evident journal:
 
 * every node carries the SHA-256 of its canonical record bytes;
-* the whole subgraph is digested through the canonical
-  :func:`repro.core.export.to_json` form (byte-stable, so two exports
-  of the same history digest identically);
+* the whole subgraph is digested in the canonical
+  :func:`repro.core.export.to_json` form of the tenant's graph under
+  its raw ids (byte-stable, so two exports of the same history digest
+  identically);
 * the journal's verification result and the manifest's signed
   per-tenant chain head ride along, binding the report to a record
   that was *verified intact* when the report was cut;
 * the report itself closes with ``report_digest`` — the SHA-256 of its
   own canonical bytes (digest field excluded), so any later alteration
   of the report is as detectable as an alteration of the journal.
+
+The report reads the tenant once, through ``load_subgraph``, and builds
+everything in one pass over that graph: each node's canonical record
+is encoded once, hashed for its ``record_sha256`` and streamed into
+the export digest.  No second graph is built, and ``to_json`` never
+re-serializes the graph.  ``tests/service/audit_reference.py`` keeps
+the builder that did both, and the tests hold the two byte-identical.
 
 The report is deliberately wall-clock-free: the same service state
 always produces the same bytes.  :func:`render_case_report` turns the
@@ -29,35 +37,18 @@ from __future__ import annotations
 import hashlib
 
 from repro.canon import canonical_json
-from repro.core.export import to_json
-from repro.core.graph import ProvenanceGraph
-from repro.core.model import ProvNode
+from repro.core.export import canonical_digest, edge_entry, node_entry
+from repro.core.taxonomy import NodeKind
 from repro.analysis.report import format_table
-from repro.service.events import qualify, unqualify, validate_user_id
+from repro.service.events import qualify, validate_user_id
 
 #: Report format marker + version (mirrors the export module's scheme).
 REPORT_FORMAT = "repro-audit-report"
 REPORT_VERSION = 1
 
-#: Node kinds treated as custody artifacts (things that left the
+#: The node kind treated as a custody artifact (a thing that left the
 #: browser and can be picked up off a disk later).
-_ARTIFACT_KINDS = frozenset({"download"})
-
-
-def node_record_hash(node: ProvNode) -> str:
-    """SHA-256 over the node's canonical record bytes."""
-    return hashlib.sha256(
-        canonical_json(
-            {
-                "id": node.id,
-                "kind": node.kind.value,
-                "timestamp_us": node.timestamp_us,
-                "label": node.label,
-                "url": node.url,
-                "attrs": dict(node.attrs),
-            }
-        )
-    ).hexdigest()
+_ARTIFACT_KIND = NodeKind.DOWNLOAD
 
 
 def build_case_report(service, user_id: str) -> dict:
@@ -69,6 +60,14 @@ def build_case_report(service, user_id: str) -> dict:
     that fails verification still *produces* the report, with the
     failure embedded in ``verify``, because "the record was tampered
     with, here is where" is itself the finding an investigator needs.
+
+    The tenant is read once, through
+    :meth:`~repro.core.store.ProvenanceStore.load_subgraph`, and one
+    pass over that graph yields the timeline, every node's record hash
+    and the export bytes ``graph_digest`` hashes: each node's canonical
+    record is encoded once and serves both.  Ids lose the tenant prefix
+    as they are read; custody chains walk ``ancestors`` on the loaded
+    graph.
     """
     validate_user_id(user_id)
     verify = service.verify_integrity()
@@ -76,60 +75,45 @@ def build_case_report(service, user_id: str) -> dict:
     shard = service._drained_shard(user_id)
     prefix = qualify(user_id, "")
     with service.pool.checkout(shard) as store:
-        stored = store.load_subgraph(prefix)
-    # Rebuild with the tenant's own raw ids: prefixes never escape the
-    # facade, and the graph digest must match what the tenant's own
-    # capture-side export of the same history would digest to.
-    graph = ProvenanceGraph(enforce_dag=False)
-    for node in stored.nodes():
-        graph.add_node(
-            ProvNode(
-                id=unqualify(user_id, node.id),
-                kind=node.kind,
-                timestamp_us=node.timestamp_us,
-                label=node.label,
-                url=node.url,
-                attrs=node.attrs,
-            )
+        graph = store.load_subgraph(prefix)
+    cut = len(prefix)
+    hashes: dict[str, str] = {}  # stored id -> record_sha256
+    records: list[bytes] = []  # canonical node records, in load order
+    timeline = []
+    for node in graph.nodes():
+        node_id = node.id[cut:]
+        record = canonical_json(node_entry(node, node_id))
+        records.append(record)
+        digest = hashes[node.id] = hashlib.sha256(record).hexdigest()
+        timeline.append(
+            {
+                "node": node_id,
+                "kind": node.kind.value,
+                "timestamp_us": node.timestamp_us,
+                "label": node.label,
+                "url": node.url,
+                "record_sha256": digest,
+            }
         )
-    for edge in stored.edges():
-        graph.add_edge(
-            edge.kind,
-            unqualify(user_id, edge.src),
-            unqualify(user_id, edge.dst),
-            timestamp_us=edge.timestamp_us,
-            attrs=dict(edge.attrs),
-        )
-    hashes = {node.id: node_record_hash(node) for node in graph.nodes()}
-    timeline = [
-        {
-            "node": node.id,
-            "kind": node.kind.value,
-            "timestamp_us": node.timestamp_us,
-            "label": node.label,
-            "url": node.url,
-            "record_sha256": hashes[node.id],
-        }
-        for node in sorted(
-            graph.nodes(), key=lambda n: (n.timestamp_us, n.id)
-        )
-    ]
+    timeline.sort(key=lambda entry: (entry["timestamp_us"], entry["node"]))
     custody = []
-    for node in sorted(graph.nodes(), key=lambda n: (n.timestamp_us, n.id)):
-        if node.kind.value not in _ARTIFACT_KINDS:
-            continue
+    artifacts = sorted(
+        (graph.node(node_id) for node_id in graph.by_kind(_ARTIFACT_KIND)),
+        key=lambda node: (node.timestamp_us, node.id),
+    )
+    for node in artifacts:
         lineage = sorted(
             graph.ancestors(node.id).items(),
             key=lambda item: (item[1], item[0]),
         )
         custody.append(
             {
-                "artifact": node.id,
+                "artifact": node.id[cut:],
                 "url": node.url,
                 "record_sha256": hashes[node.id],
                 "chain": [
                     {
-                        "node": ancestor,
+                        "node": ancestor[cut:],
                         "depth": depth,
                         "record_sha256": hashes[ancestor],
                     }
@@ -148,9 +132,17 @@ def build_case_report(service, user_id: str) -> dict:
             "edges": graph.edge_count,
             "artifacts": len(custody),
         },
-        "graph_digest": hashlib.sha256(
-            to_json(graph).encode("utf-8")
-        ).hexdigest(),
+        # The export of the graph re-keyed to raw ids: a re-keyed graph
+        # numbers its edges in insertion order, which is edges() order
+        # here, so an edge's id in it is its position.
+        "graph_digest": canonical_digest(
+            [
+                edge_entry(edge, position, edge.src[cut:], edge.dst[cut:])
+                for position, edge in enumerate(graph.edges())
+            ],
+            records,
+            enforce_dag=False,
+        ),
         "timeline": timeline,
         "custody": custody,
     }

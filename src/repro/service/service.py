@@ -1221,11 +1221,14 @@ class ProvenanceService:
         """Auditable case report for *user_id*.
 
         Timeline plus per-artifact chain of custody, every node hashed,
-        the subgraph digested through the canonical export form, the
-        journal verification result embedded, and the report closed
-        with its own digest — see :mod:`repro.service.audit`.  The
-        report is byte-stable: the same history always produces the
-        same canonical JSON.
+        the subgraph digested in the canonical export form, the journal
+        verification result embedded, and the report closed with its
+        own digest — see :mod:`repro.service.audit`.  The journal is
+        verified first; the tenant is then read once (one
+        ``load_subgraph`` of its drained shard) and the report built in
+        one pass, so its peak memory is one tenant graph.  The report
+        is byte-stable: the same history always produces the same
+        canonical JSON.
         """
         with self.tracer.trace("integrity.audit", user=user_id):
             return build_case_report(self, user_id)

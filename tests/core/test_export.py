@@ -1,12 +1,21 @@
 """Tests for graph export/import."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.export import from_json, to_dot, to_json
+from repro.canon import canonical_json
+from repro.core.export import (
+    canonical_digest,
+    edge_entry,
+    from_json,
+    node_entry,
+    to_dot,
+    to_json,
+)
 from repro.core.graph import ProvenanceGraph
 from repro.core.model import ProvNode
 from repro.core.taxonomy import EdgeKind, NodeKind
@@ -75,11 +84,26 @@ class TestJson:
         """The ``indent=None`` form must be byte-stable canonical JSON
         (sorted keys, compact separators) — audit reports hash it, so
         the legacy space-padded ``json.dumps`` default is a bug."""
-        from repro.canon import canonical_json
-
         text = to_json(build_graph())
         assert ": " not in text and ", " not in text
         assert text.encode("utf-8") == canonical_json(json.loads(text))
+
+    @pytest.mark.parametrize("enforce_dag", [True, False])
+    def test_canonical_digest_is_the_digest_of_to_json(self, enforce_dag):
+        """Digesting pre-encoded node entries gives the SHA-256 of the
+        canonical export, whichever way the graph enforces a DAG."""
+        graph = from_json(to_json(build_graph()))
+        graph.enforce_dag = enforce_dag
+        edges = [
+            edge_entry(edge, edge.id, edge.src, edge.dst)
+            for edge in graph.edges()
+        ]
+        records = [
+            canonical_json(node_entry(node, node.id)) for node in graph.nodes()
+        ]
+        assert canonical_digest(
+            edges, records, enforce_dag=enforce_dag
+        ) == hashlib.sha256(to_json(graph).encode("utf-8")).hexdigest()
 
     def test_same_graph_serializes_identically(self):
         """Two exports of equal history are the same bytes — the

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.core.capture import NodeInterval
+from repro.core.export import to_json
 from repro.core.model import ProvEdge, ProvNode
 from repro.core.store import ProvenanceStore
 from repro.core.taxonomy import EdgeKind, NodeKind
@@ -608,6 +609,61 @@ class TestStoreThreading:
         assert results["descendants"] == [("b", 1)]
         assert results["counts"] == (2, 1)
         store.close()
+
+    @pytest.mark.parametrize("read", ["load_subgraph", "ranking_aggregates"])
+    def test_a_read_from_a_reader_is_one_snapshot(self, tmp_path, read):
+        """A commit landing between two statements of one read on a
+        non-owner thread's WAL connection is seen by all of them or by
+        none: a tenant's graph never holds a node without its attrs,
+        and its ranking aggregates never mix two states."""
+        store = ProvenanceStore(str(tmp_path / "s.sqlite"))
+        store.append_node(visit("u::a", 1, url="http://a.com/"))
+        store.index_documents([("u::a", ["alpha"])])
+        store.commit()
+        reads = {
+            "load_subgraph": lambda: to_json(store.load_subgraph("u::")),
+            "ranking_aggregates": lambda: store.ranking_aggregates("u::"),
+        }
+        before = reads[read]()
+        reached, committed = threading.Event(), threading.Event()
+        results, errors = [], []
+
+        def reader():
+            selects = []
+
+            def between_statements(sql):
+                if sql.lstrip().upper().startswith("SELECT"):
+                    selects.append(sql)
+                    if len(selects) == 2:  # the second statement starts
+                        reached.set()
+                        committed.wait(10)
+
+            conn = store.read_connection()
+            conn.set_trace_callback(between_statements)
+            try:
+                results.append(reads[read]())
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+            finally:
+                conn.set_trace_callback(None)
+                reached.set()
+
+        with store.exclusive():
+            thread = threading.Thread(target=reader)
+            thread.start()
+            assert reached.wait(10)
+            store.append_node(visit(
+                "u::b", 2, url="http://b.com/", attrs={"origin": "late"}
+            ))
+            store.index_documents([("u::b", ["alpha", "beta"])])
+            store.commit()
+            committed.set()
+            thread.join(10)
+        after = reads[read]()
+        store.close()
+        assert not errors, errors[0]
+        assert before != after
+        assert results[0] in (before, after)
 
 
 class TestServiceCrossShard:
